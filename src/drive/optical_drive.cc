@@ -129,6 +129,20 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::Read(
   co_return data;
 }
 
+sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::ReadImageStream(
+    std::string image_id) {
+  ROS_CO_RETURN_IF_ERROR(co_await MountVfs());
+  ROS_CO_ASSIGN_OR_RETURN(const Session* session,
+                          disc_->FindSession(image_id));
+  const std::uint64_t n = session->data.size();
+  // An empty stream still charges (and integrity-checks) one byte.
+  ROS_CO_ASSIGN_OR_RETURN(
+      std::vector<std::uint8_t> bytes,
+      co_await Read(std::move(image_id), 0, std::max<std::uint64_t>(1, n)));
+  bytes.resize(n);
+  co_return bytes;
+}
+
 sim::Task<StatusOr<BurnResult>> OpticalDrive::BurnImage(
     std::string image_id, std::uint64_t logical_size,
     std::vector<std::uint8_t> payload, BurnOptions options) {

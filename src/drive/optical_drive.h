@@ -105,6 +105,15 @@ class OpticalDrive {
                                                       std::uint64_t offset,
                                                       std::uint64_t length);
 
+  // Reads one burned image's whole serialized stream, the one timed way
+  // an image stream comes off a disc. Mounts, looks up the session, charges
+  // Read(image_id, 0, max(1, n)) for the session's n stored bytes,
+  // returning exactly those n bytes. kNotFound if the disc does not hold
+  // the image (after the mount is charged), kDataLoss on a corrupted
+  // sector, kFailedPrecondition on an empty drive.
+  sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadImageStream(
+      std::string image_id);
+
   // Burns one disc image as a session. Payload may be sparse (shorter than
   // `logical_size`); timing uses the logical size. In append mode the first
   // burn on a blank disc formats the metadata zone first, and the burn can

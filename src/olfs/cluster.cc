@@ -572,7 +572,7 @@ sim::Task<Status> Cluster::MigrateBucket(std::string bucket, int target) {
         const std::string path = "/b/" + bucket + "/" + name;
         auto info = co_await src.olfs->Stat(path);
         if (!info.ok() || info->is_directory) {
-          continue;  // tombstoned or nested prefix: latest objects only
+          continue;  // unlinked since the listing, or a nested prefix
         }
         auto data = co_await src.olfs->Read(path, 0, info->size);
         if (!data.ok()) {

@@ -210,7 +210,6 @@ void MetadataVolume::ResetLsState() const {
   live_index_count_ = 0;
   next_rank_ = 1;
   next_seg_id_ = 1;
-  ++store_gen_;
 }
 
 void MetadataVolume::WipeAll() {
@@ -263,7 +262,10 @@ void MetadataVolume::DecLiveRef(const KeyRef& ref) const {
 
 void MetadataVolume::MemtableApply(const std::string& key, std::string value,
                                    bool tombstone) const {
-  ++store_gen_;
+  // The key's cached decode (if any) describes the value being replaced.
+  if (IsIndexKey(key)) {
+    CacheErase(std::string_view(key).substr(1));
+  }
   Shard& shard = active_[ShardOf(key)];
   auto [it, inserted] = shard.try_emplace(key);
   if (!inserted) {
@@ -371,7 +373,7 @@ sim::Task<StatusOr<MetadataVolume::IndexPtr>> MetadataVolume::GetRefLs(
       co_return decoded.status();
     }
     auto shared = std::make_shared<const IndexFile>(std::move(*decoded));
-    CacheInsert(path, shared, 0, {}, 0);
+    CacheInsert(path, shared, {});
     co_return std::move(shared);
   }
   auto ref_it = keydir_.find(key);
@@ -409,7 +411,7 @@ sim::Task<StatusOr<MetadataVolume::IndexPtr>> MetadataVolume::GetRefLs(
       now_it->second.offset == ref.offset && !seg->retired) {
     auto segments = volume_->MapFileRange(seg->file, ref.offset, ref.length);
     if (segments.ok()) {
-      CacheInsert(path, shared, 0, std::move(*segments), ref.seg_id);
+      CacheInsert(path, shared, std::move(*segments), ref.seg_id);
     }
   }
   co_return std::move(shared);
@@ -434,16 +436,11 @@ sim::Task<Status> MetadataVolume::Put(IndexFile index) {
     std::string doc = index.ToJson();
     const std::string key = IndexKey(path);
     MemtableApply(key, doc, false);
-    const std::uint64_t gen = store_gen_;
+    // Write-through publish before suspending: the memtable already serves
+    // this value, and any later mutation of the key drops the entry again.
+    CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)), {});
     mvlog::Record record{mvlog::RecordType::kPut, key, std::move(doc)};
     ROS_CO_RETURN_IF_ERROR(co_await log_->Append(std::move(record)));
-    // Write-through publish, pinned to the store generation: any mutation
-    // during the barrier wait (even to another key) skips the insert and
-    // the next Get re-decodes.
-    if (store_gen_ == gen) {
-      CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)),
-                  0, {}, 0);
-    }
     MaybeScheduleFlush();
     co_return OkStatus();
   }
@@ -466,7 +463,7 @@ sim::Task<Status> MetadataVolume::Put(IndexFile index) {
     if (segments.ok()) {
       const std::string path = index.path();
       CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)),
-                  after->write_gen, std::move(*segments));
+                  std::move(*segments));
     }
   }
   co_return OkStatus();
@@ -528,7 +525,7 @@ sim::Task<StatusOr<MetadataVolume::IndexPtr>> MetadataVolume::GetRef(
   if (stat_after.ok() && stat_after->write_gen == stat->write_gen) {
     auto segments = volume_->MapFileRange(name, 0, stat->size);
     if (segments.ok()) {
-      CacheInsert(path, shared, stat->write_gen, std::move(*segments));
+      CacheInsert(path, shared, std::move(*segments));
     }
   }
   co_return std::move(shared);
@@ -550,7 +547,6 @@ sim::Task<Status> MetadataVolume::Remove(std::string path) {
     if (keydir_.find(key) == keydir_.end()) {
       co_return NotFoundError("no file " + IndexName(path));
     }
-    CacheErase(path);
     MemtableApply(key, "", true);
     mvlog::Record record{mvlog::RecordType::kRemove, key, ""};
     Status status = co_await log_->Append(std::move(record));
@@ -1394,7 +1390,6 @@ void MetadataVolume::OnVolumeMutation(const std::string& name,
 }
 
 void MetadataVolume::CacheInsert(const std::string& path, IndexPtr index,
-                                 std::uint64_t write_gen,
                                  disk::Volume::ByteSegments segments,
                                  std::uint64_t source_seg) const {
   if (cache_capacity_ == 0) {
@@ -1403,14 +1398,13 @@ void MetadataVolume::CacheInsert(const std::string& path, IndexPtr index,
   auto it = cache_map_.find(std::string_view(path));
   if (it != cache_map_.end()) {
     it->second->index = std::move(index);
-    it->second->write_gen = write_gen;
     it->second->segments = std::move(segments);
     it->second->source_seg = source_seg;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(CacheEntry{path, std::move(index), write_gen,
-                             std::move(segments), source_seg});
+  lru_.push_front(
+      CacheEntry{path, std::move(index), std::move(segments), source_seg});
   cache_map_.emplace(lru_.front().path, lru_.begin());
   if (cache_map_.size() > cache_capacity_) {
     cache_map_.erase(std::string_view(lru_.back().path));

@@ -234,9 +234,8 @@ class MetadataVolume {
   struct CacheEntry {
     std::string path;
     IndexPtr index;  // immutable; hits share it, eviction can't invalidate
-    std::uint64_t write_gen = 0;  // generation this decode corresponds to
-    // Device ranges backing the entry, valid for exactly this generation
-    // (push invalidation drops the entry on any mutation): hits replay the
+    // Device ranges backing the entry, valid until the entry is dropped
+    // (push invalidation drops it on any mutation): hits replay the
     // read charge from here instead of paying a second file-table lookup.
     // Empty for memtable-resident entries (a miss would charge nothing).
     disk::Volume::ByteSegments segments;
@@ -292,9 +291,8 @@ class MetadataVolume {
                         disk::Volume::MutationKind kind) const;
 
   // Decodes nothing itself: callers hand over the decoded index plus the
-  // generation and the file's device mapping for that generation.
+  // device mapping of the bytes it was decoded from.
   void CacheInsert(const std::string& path, IndexPtr index,
-                   std::uint64_t write_gen,
                    disk::Volume::ByteSegments segments,
                    std::uint64_t source_seg = 0) const;
   void CacheErase(std::string_view path) const;
@@ -309,9 +307,9 @@ class MetadataVolume {
   // Memtable lookup, newest tier first: active shard, then immutable.
   const MemEntry* FindMem(const std::string& key) const;
 
-  // Applies one mutation to memtable + keydir + live counters, bumping the
-  // store generation. Host-atomic (no suspension). Does NOT touch the WAL:
-  // callers append (or are replaying what was already appended).
+  // Applies one mutation to memtable + keydir + live counters and drops
+  // the key's cached decode. Host-atomic (no suspension). Does NOT touch
+  // the WAL: callers append (or are replaying what was already appended).
   void MemtableApply(const std::string& key, std::string value,
                      bool tombstone) const;
   // Detaches a key's previous location (segment live-count bookkeeping).
@@ -385,7 +383,6 @@ class MetadataVolume {
   mutable std::uint64_t live_index_count_ = 0;  // keys in the "i" domain
   mutable std::uint64_t next_rank_ = 1;
   mutable std::uint64_t next_seg_id_ = 1;
-  mutable std::uint64_t store_gen_ = 0;  // bumps on every MemtableApply
   mutable std::uint64_t epoch_ = 0;      // bumps on WipeAll
   mutable bool opened_ = true;   // false: dirty volume awaiting recovery
   mutable bool opening_ = false;

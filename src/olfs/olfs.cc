@@ -82,9 +82,7 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
   };
   audit_ = std::make_unique<AuditRegistry>(params_, mv_.get(), images_.get(),
                                            parity_.get());
-  if (params_.audit_manifests_enabled) {
-    burns_->set_audit(audit_.get());
-  }
+  burns_->set_audit(audit_.get());
   scrub_ = std::make_unique<ScrubManager>(sim_, this);
   // Media aging hooks on every optical drive. The params object lives in
   // this facade, so the pointer stays valid for the system's lifetime;
@@ -514,8 +512,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadPart(
       if (hint.stream != 0 && record->disc.has_value()) {
         const int tray = record->disc->tray.ToIndex();
         const int predicted = predictor_->Observe(hint.stream, tray);
-        if (scheduler_ != nullptr && params_.tray_prefetch_enabled &&
-            predicted >= 0 && predicted != tray) {
+        if (scheduler_ != nullptr && predicted >= 0 && predicted != tray) {
           scheduler_->EnqueueSpeculative(mech::TrayAddress::FromIndex(predicted));
         }
       }
@@ -617,65 +614,52 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDisc(
   co_return result;
 }
 
+sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::MountParsedImage(
+    drive::OpticalDrive* drive, std::string image_id) {
+  // Mount the disc's UDF volume (wake + VFS mount as needed) and parse the
+  // image metadata once per mount.
+  ROS_CO_RETURN_IF_ERROR(co_await drive->MountVfs());
+  auto cached = disc_mounts_.find(image_id);
+  if (cached != disc_mounts_.end()) {
+    co_return cached->second;
+  }
+  ROS_CO_ASSIGN_OR_RETURN(const drive::Session* session,
+                          drive->disc()->FindSession(image_id));
+  // The physical read of the whole serialized stream validates media
+  // integrity (CRC); corrupted sectors surface here as kDataLoss. The
+  // caller charges the optical transfer it models.
+  ROS_CO_ASSIGN_OR_RETURN(
+      std::vector<std::uint8_t> stream,
+      drive->disc()->ReadSession(image_id, 0, session->data.size()));
+  ROS_CO_ASSIGN_OR_RETURN(udf::Image image, udf::Serializer::Parse(stream));
+  auto view = std::make_shared<udf::Image>(std::move(image));
+  disc_mounts_.emplace(std::move(image_id), view);
+  co_return view;
+}
+
 sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDiscLeader(
     std::string image_id, std::string internal_path,
     std::uint64_t offset, std::uint64_t length) {
   ROS_CO_ASSIGN_OR_RETURN(FetchLease lease,
                           co_await fetcher_->FetchDisc(image_id));
   drive::OpticalDrive* drive = lease.drive();
-
-  // Mount the disc's UDF volume (wake + VFS mount as needed) and parse the
-  // image metadata once per mount.
-  Status mounted = co_await drive->MountVfs();
-  if (!mounted.ok()) {
-    lease.Release();
-    co_return mounted;
-  }
-  auto cached = disc_mounts_.find(image_id);
-  if (cached == disc_mounts_.end()) {
-    auto session = drive->disc()->FindSession(image_id);
-    if (!session.ok()) {
-      lease.Release();
-      co_return session.status();
-    }
-    // The physical read of the whole serialized stream validates media
-    // integrity (CRC); corrupted sectors surface here as kDataLoss.
-    auto stream = drive->disc()->ReadSession(image_id, 0,
-                                             (*session)->data.size());
-    if (!stream.ok()) {
-      lease.Release();
-      co_return stream.status();
-    }
-    auto image = udf::Serializer::Parse(*stream);
-    if (!image.ok()) {
-      lease.Release();
-      co_return image.status();
-    }
-    cached = disc_mounts_
-                 .emplace(image_id,
-                          std::make_shared<udf::Image>(std::move(*image)))
-                 .first;
-  }
-  // Pin the parsed image before the optical transfer suspends: the mount
-  // entry can be dropped if the drive is recycled while this read waits.
-  std::shared_ptr<udf::Image> parsed = cached->second;
+  // Pinned: the mount entry can be dropped if the drive is recycled while
+  // the optical transfer below waits.
+  ROS_CO_ASSIGN_OR_RETURN(std::shared_ptr<udf::Image> parsed,
+                          co_await MountParsedImage(drive, image_id));
 
   // Charge the optical transfer (seek + media read) for the file bytes.
   auto session = drive->disc()->FindSession(image_id);
   if (session.ok()) {
-    const std::uint64_t logical = (*session)->logical_size;
-    const std::uint64_t n = std::min(length, logical);
+    const std::uint64_t n = std::min(length, (*session)->logical_size);
     if (n > 0) {
       auto timed = co_await drive->Read(image_id, 0, n);
       if (!timed.ok()) {
-        lease.Release();
         co_return timed.status();
       }
     }
   }
-  auto data = parsed->ReadFile(internal_path, offset, length);
-  lease.Release();
-  co_return data;
+  co_return parsed->ReadFile(internal_path, offset, length);
 }
 
 sim::Task<void> Olfs::PrefetchTask(std::string image_id,
@@ -858,37 +842,13 @@ sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::ReadSiblingStream(
   ROS_CO_ASSIGN_OR_RETURN(FetchLease lease,
                           co_await fetcher_->FetchDisc(image_id));
   drive::OpticalDrive* drive = lease.drive();
-  Status mounted = co_await drive->MountVfs();
-  if (!mounted.ok()) {
-    lease.Release();
-    co_return mounted;
-  }
-  auto session = drive->disc()->FindSession(image_id);
-  if (!session.ok()) {
-    lease.Release();
-    co_return session.status();
-  }
-  auto stream = drive->disc()->ReadSession(image_id, 0,
-                                           (*session)->data.size());
-  if (!stream.ok()) {
-    lease.Release();
-    co_return stream.status();
-  }
-  auto image = udf::Serializer::Parse(*stream);
-  if (!image.ok()) {
-    lease.Release();
-    co_return image.status();
-  }
+  ROS_CO_ASSIGN_OR_RETURN(std::shared_ptr<udf::Image> view,
+                          co_await MountParsedImage(drive, image_id));
   // Charge the full-stream optical transfer.
-  auto timed = co_await drive->Read(
-      image_id, 0, std::max<std::uint64_t>(1, (*session)->data.size()));
+  auto timed = co_await drive->ReadImageStream(std::move(image_id));
   if (!timed.ok()) {
-    lease.Release();
     co_return timed.status();
   }
-  auto view = std::make_shared<udf::Image>(std::move(*image));
-  disc_mounts_.emplace(image_id, view);
-  lease.Release();
   co_return view;
 }
 
@@ -957,7 +917,26 @@ sim::Task<StatusOr<std::vector<std::string>>> Olfs::ReadDir(
     co_return NotFoundError(path + " does not exist");
   }
   co_await ChargeOp("readdir");
-  co_return mv_->ListChildren(path);
+  // An unlinked file keeps its index (a tombstone version) so a re-create
+  // continues its history, but it is no longer listed. Telling the two
+  // apart reads each child's index, as a stat of every entry would.
+  const std::vector<std::string> children = mv_->ListChildren(path);
+  const std::string prefix = path == "/" ? path : path + "/";
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    auto index = co_await mv_->GetRef(prefix + children[i]);
+    if (!index.ok()) {
+      if (index.status().code() == StatusCode::kNotFound) {
+        continue;  // removed while this listing ran
+      }
+      co_return index.status();
+    }
+    if ((*index)->type() == EntryType::kDirectory ||
+        (*index)->Latest().ok()) {
+      names.push_back(children[i]);
+    }
+  }
+  co_return names;
 }
 
 sim::Task<Status> Olfs::Unlink(std::string path) {
@@ -1062,24 +1041,12 @@ sim::Task<Status> Olfs::RefreshImage(std::string image_id) {
     bool direct_ok = false;
     auto lease = co_await fetcher_->FetchDiscBackground(image_id);
     if (lease.ok()) {
-      Status mounted = co_await lease->drive()->MountVfs();
-      if (mounted.ok()) {
-        drive::Disc* disc = lease->drive()->disc();
-        auto session = disc->FindSession(image_id);
-        if (session.ok()) {
-          const std::uint64_t stream_bytes = (*session)->data.size();
-          auto timed = co_await lease->drive()->Read(
-              image_id, 0, std::max<std::uint64_t>(1, stream_bytes));
-          if (timed.ok()) {
-            auto bytes = disc->ReadSession(image_id, 0, stream_bytes);
-            if (bytes.ok()) {
-              stream = std::move(*bytes);
-              direct_ok = true;
-            }
-          }
-        }
-      }
+      auto bytes = co_await lease->drive()->ReadImageStream(image_id);
       lease->Release();
+      if (bytes.ok()) {
+        stream = std::move(*bytes);
+        direct_ok = true;
+      }
     }
     if (!direct_ok) {
       ROS_CO_ASSIGN_OR_RETURN(stream,
@@ -1141,30 +1108,11 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReconstructFromParity(
     }
     ROS_CO_ASSIGN_OR_RETURN(FetchLease lease,
                             co_await fetcher_->FetchDisc(member));
-    Status mounted = co_await lease.drive()->MountVfs();
-    if (!mounted.ok()) {
-      co_return mounted;
-    }
-    drive::Disc* member_disc = lease.drive()->disc();
-    auto session = member_disc->FindSession(member);
-    if (!session.ok()) {
-      lease.Release();
-      if (is_p || is_q) {
-        continue;
-      }
-      missing.push_back(static_cast<int>(k));
-      continue;
-    }
-    const std::uint64_t stream_bytes = (*session)->data.size();
-    // Charge the full-stream optical read.
-    auto timed = co_await lease.drive()->Read(
-        member, 0, std::max<std::uint64_t>(1, stream_bytes));
-    StatusOr<std::vector<std::uint8_t>> stream =
-        timed.ok() ? member_disc->ReadSession(member, 0, stream_bytes)
-                   : std::move(timed);
+    auto stream = co_await lease.drive()->ReadImageStream(member);
     lease.Release();
     if (!stream.ok()) {
-      if (stream.status().code() != StatusCode::kDataLoss) {
+      const StatusCode code = stream.status().code();
+      if (code != StatusCode::kNotFound && code != StatusCode::kDataLoss) {
         co_return stream.status();  // mech trouble, not media rot
       }
       if (!is_p && !is_q) {
@@ -1434,11 +1382,8 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
         if (session.image_id == "<metadata-zone>" || !session.closed) {
           continue;
         }
-        // Charge the optical read of the serialized stream.
-        auto timed = co_await drive.Read(
-            session.image_id, 0,
-            std::max<std::uint64_t>(1, session.data.size()));
-        if (!timed.ok()) {
+        auto stream = co_await drive.ReadImageStream(session.image_id);
+        if (!stream.ok()) {
           ++report.unreadable_discs;
           continue;
         }
@@ -1453,7 +1398,7 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
                                            session.logical_size);
           continue;
         }
-        auto parsed = udf::Serializer::Parse(session.data);
+        auto parsed = udf::Serializer::Parse(*stream);
         if (!parsed.ok()) {
           ++report.unreadable_discs;
           continue;

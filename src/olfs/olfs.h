@@ -128,6 +128,7 @@ class Olfs {
   sim::Task<StatusOr<std::vector<std::string>>> ReadDir(
       std::string path);
   // Logical delete: a tombstone version (WORM media keeps the bytes).
+  // Stat and ReadDir no longer see the file.
   sim::Task<Status> Unlink(std::string path);
 
   // ------------------------------------------------------------------
@@ -273,10 +274,16 @@ class Olfs {
       std::string image_id, std::string internal_path,
       std::uint64_t offset, std::uint64_t length);
 
-  // The leader's path: fetch lease, mount, physical read, parse.
+  // The leader's path: fetch lease, mount + parse, charge the file bytes.
   sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadFromDiscLeader(
       std::string image_id, std::string internal_path,
       std::uint64_t offset, std::uint64_t length);
+
+  // Mounts the disc in `drive` and returns the parsed view of `image_id`,
+  // parsing its stored stream into disc_mounts_ once per mount. Charges
+  // only the wake/VFS mount: callers charge the optical transfer.
+  sim::Task<StatusOr<std::shared_ptr<udf::Image>>> MountParsedImage(
+      drive::OpticalDrive* drive, std::string image_id);
 
   // Background file-cache population: pulls the whole file (and up to
   // prefetch_siblings directory neighbours) off the fetched disc.

@@ -67,9 +67,8 @@ struct OlfsParams {
   // makes every queued request immediately aged, i.e. strict FIFO.
   sim::Duration fetch_aging_bound = sim::Seconds(300);
 
-  // Cross-layer hints (ROADMAP item 4). All three optimizations key off
-  // AccessHint::stream, so untagged traffic is unaffected regardless of
-  // these switches.
+  // Cross-layer hints. All three optimizations key off AccessHint::stream,
+  // so untagged traffic is unaffected.
   //   - Affinity placement: burn batches cluster images co-accessed by one
   //     stream onto the same array (tray) instead of pure close order.
   //   - Tray prefetch: the per-stream successor model enqueues speculative
@@ -77,8 +76,6 @@ struct OlfsParams {
   //   - Whole-tray readahead: a scan-hinted read stages up to
   //     `readahead_max_images` burned siblings of the fetched tray into
   //     the read cache's probationary segment (0 disables).
-  bool affinity_placement_enabled = true;
-  bool tray_prefetch_enabled = true;
   int readahead_max_images = 16;
   // How many closed images beyond the array quota to accumulate before
   // forming an affinity-clustered burn batch. A batch formed the moment
@@ -139,7 +136,6 @@ struct OlfsParams {
   drive::DiscType migration_disc_type = drive::DiscType::kBdr100;
   // Merkle audit manifests (built at burn time, persisted in the MV):
   // sampled leaf verification proves array integrity without full reads.
-  bool audit_manifests_enabled = true;
   std::uint64_t audit_leaf_bytes = 256 * kKiB;
 
   // Self-healing budgets: transient (kUnavailable) mechanical faults during

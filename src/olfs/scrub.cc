@@ -17,30 +17,12 @@ sim::Task<StatusOr<std::uint64_t>> ScrubManager::ScrubOneImage(
   ROS_CO_ASSIGN_OR_RETURN(
       FetchLease lease,
       co_await olfs_->fetches().FetchDiscBackground(image_id));
-  Status mounted = co_await lease.drive()->MountVfs();
-  if (!mounted.ok()) {
-    lease.Release();
-    co_return mounted;
-  }
-  drive::Disc* disc = lease.drive()->disc();
-  auto session = disc->FindSession(image_id);
-  if (!session.ok()) {
-    lease.Release();
-    co_return session.status();
-  }
-  const std::uint64_t stream_bytes = (*session)->data.size();
-  // Charge the full-stream optical read; this is also what advances the
-  // media aging clock on the disc (OpticalDrive::Read).
-  auto timed = co_await lease.drive()->Read(
-      image_id, 0, std::max<std::uint64_t>(1, stream_bytes));
-  StatusOr<std::vector<std::uint8_t>> stream =
-      timed.ok() ? disc->ReadSession(image_id, 0, stream_bytes)
-                 : std::move(timed);
-  lease.Release();
-  if (!stream.ok()) {
-    co_return stream.status();
-  }
-  co_return stream_bytes;
+  // The full-stream optical read is also what advances the media aging
+  // clock on the disc (OpticalDrive::Read).
+  ROS_CO_ASSIGN_OR_RETURN(
+      std::vector<std::uint8_t> stream,
+      co_await lease.drive()->ReadImageStream(std::move(image_id)));
+  co_return stream.size();
 }
 
 sim::Task<StatusOr<ScrubPassReport>> ScrubManager::RunPass() {
@@ -236,12 +218,6 @@ sim::Task<StatusOr<AuditReport>> ScrubManager::RunAudit(
                           << ": " << lease.status().ToString();
         continue;
       }
-      Status mounted = co_await lease->drive()->MountVfs();
-      if (!mounted.ok()) {
-        lease->Release();
-        continue;
-      }
-      drive::Disc* disc = lease->drive()->disc();
       std::uint64_t member_bad = 0;
       for (std::size_t i = 0; i < leaves.size(); ++i) {
         const std::uint64_t leaf = leaves[i];
@@ -255,11 +231,8 @@ sim::Task<StatusOr<AuditReport>> ScrubManager::RunAudit(
         ++report.leaves_sampled;
         audit_bytes_read_ += len;
         report.bytes_read += len;
-        auto timed = co_await lease->drive()->Read(
-            member.image_id, offset, std::max<std::uint64_t>(1, len));
-        StatusOr<std::vector<std::uint8_t>> bytes =
-            timed.ok() ? disc->ReadSession(member.image_id, offset, len)
-                       : std::move(timed);
+        auto bytes =
+            co_await lease->drive()->Read(member.image_id, offset, len);
         if (!bytes.ok()) {
           if (bytes.status().code() == StatusCode::kDataLoss) {
             ++member_bad;  // rotten leaf: provable damage
@@ -269,8 +242,7 @@ sim::Task<StatusOr<AuditReport>> ScrubManager::RunAudit(
           }
           continue;
         }
-        if (bytes->size() != len ||
-            AuditHashLeaf(std::span<const std::uint8_t>(
+        if (AuditHashLeaf(std::span<const std::uint8_t>(
                 bytes->data(), bytes->size())) != member.leaves[leaf]) {
           ++member_bad;  // silent corruption: hash chain breaks
         }

@@ -474,6 +474,29 @@ WorldResult RunSeededWorld() {
   return result;
 }
 
+// A cached decode must not survive an acked overwrite, even when another
+// key's write lands in the same group commit.
+TEST_F(MvStoreTest, GroupCommittedOverwriteReplacesCachedDecode) {
+  Attach(LsOptions());
+  ASSERT_TRUE(sim_.RunUntilComplete(PutOne(mv_.get(), 0, 100)).ok());
+  auto cached = sim_.RunUntilComplete(mv_->GetRef(PathOf(0)));
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+
+  const std::uint64_t batches_before =
+      mv_->store_stats().wal.batches_committed;
+  std::vector<sim::Task<Status>> puts;
+  puts.push_back(PutOne(mv_.get(), 0, 200));
+  puts.push_back(PutOne(mv_.get(), 1, 300));
+  ASSERT_TRUE(sim_.RunUntilComplete(sim::AllOk(sim_, std::move(puts))).ok());
+  ASSERT_EQ(mv_->store_stats().wal.batches_committed, batches_before + 1);
+
+  auto index = sim_.RunUntilComplete(mv_->GetRef(PathOf(0)));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto latest = (*index)->Latest();
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ((*latest)->total_size, 200u);
+}
+
 TEST(MvStoreDeterminism, DoubleRunConverges) {
   // The whole backend — group commit, background flush, compaction — must
   // be a pure function of the (simulated) schedule: two runs of the same

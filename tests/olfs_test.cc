@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,6 +189,12 @@ TEST_F(OlfsTest, UnlinkTombstonesButKeepsHistory) {
   ASSERT_TRUE(sim_->RunUntilComplete(olfs_->Unlink("/d")).ok());
   EXPECT_EQ(sim_->RunUntilComplete(olfs_->Read("/d", 0, 1)).status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(sim_->RunUntilComplete(olfs_->Stat("/d")).status().code(),
+            StatusCode::kNotFound);
+  // Gone from listings too, though its index keeps the history.
+  auto listed = sim_->RunUntilComplete(olfs_->ReadDir("/"));
+  ASSERT_TRUE(listed.ok());
+  EXPECT_TRUE(listed->empty());
   // Data provenance: the old version is still on WORM-bound media.
   auto v1 = sim_->RunUntilComplete(olfs_->ReadVersion("/d", 1, 0, 1));
   ASSERT_TRUE(v1.ok());
@@ -379,6 +386,58 @@ TEST_F(OlfsTest, ScrubRepairsSilentCorruptionWithoutARead) {
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   EXPECT_TRUE(std::equal(data->begin(), data->end(), payload.begin()));
   EXPECT_EQ(olfs_->degraded_reads(), 0u);
+}
+
+// §4.7: a sibling whose session is gone from its disc counts as one more
+// lost member, not a failed recovery: RAID-6 parity still rebuilds the
+// requested image from the double erasure.
+TEST_F(OlfsTest, ParityRecoveryTreatsMissingSessionAsLostMember) {
+  OlfsParams params = TestParams();
+  params.read_cache_bytes = 0;
+  params.parity_images = 2;
+  params.disc_type = drive::DiscType::kBdre25;  // erasable: drop a session
+  Reset(params);
+
+  // Each payload fills most of a 16 MiB disc, so /b's tail spills into a
+  // second image of the same array.
+  auto payload_a = RandomBytes(10 * kMiB, 41);
+  auto payload_b = RandomBytes(10 * kMiB, 42);
+  ASSERT_TRUE(sim_->RunUntilComplete(
+                  olfs_->Create("/a", payload_a, payload_a.size()))
+                  .ok());
+  ASSERT_TRUE(sim_->RunUntilComplete(
+                  olfs_->Create("/b", payload_b, payload_b.size()))
+                  .ok());
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+
+  auto last_image_of = [&](const std::string& path) {
+    auto index = sim_->RunUntilComplete(olfs_->mv().Get(path));
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    return index.ok() ? (*index->Latest())->parts.back().image_id
+                      : std::string();
+  };
+  const std::string image_a = last_image_of("/a");
+  const std::string image_b = last_image_of("/b");
+  ASSERT_NE(image_a, image_b);
+  auto record_a = olfs_->images().Lookup(image_a);
+  auto record_b = olfs_->images().Lookup(image_b);
+  ASSERT_TRUE(record_a.ok() && record_b.ok());
+  ASSERT_TRUE((*record_a)->disc.has_value() && (*record_b)->disc.has_value());
+  const std::vector<std::string> members = (*record_a)->array_members;
+  ASSERT_NE(std::find(members.begin(), members.end(), image_b),
+            members.end());
+
+  ASSERT_TRUE(olfs_->mech().DiscAt(*(*record_b)->disc)->Erase().ok());
+  olfs_->mech().DiscAt(*(*record_a)->disc)->CorruptSector(1);
+
+  ASSERT_TRUE(
+      sim_->RunUntilComplete(olfs_->RecoverAndRepairImage(image_a)).ok());
+  EXPECT_EQ(olfs_->reconstructions(), 1u);
+  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  auto data = sim_->RunUntilComplete(
+      olfs_->Read("/a", 0, payload_a.size()));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, payload_a);
 }
 
 // §4.4: with the MV wiped and even the controller replaced, scanning the

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/units.h"
@@ -26,6 +28,16 @@ std::unique_ptr<Disc> BurnedDisc(const std::string& image,
   auto disc = BlankDisc(DiscType::kBdr25);
   ROS_CHECK(disc->AppendSession(image, logical, std::move(data), true).ok());
   return disc;
+}
+
+// The hand-rolled sequence ReadImageStream replaces: mount, then charge
+// the whole stored stream (one byte for an empty one).
+sim::Task<Status> MountThenRead(OpticalDrive* drive, std::string image,
+                                std::uint64_t stored) {
+  ROS_CO_RETURN_IF_ERROR(co_await drive->MountVfs());
+  auto bytes = co_await drive->Read(std::move(image), 0,
+                                    std::max<std::uint64_t>(1, stored));
+  co_return bytes.status();
 }
 
 class OpticalDriveTest : public ::testing::Test {
@@ -78,6 +90,87 @@ TEST_F(OpticalDriveTest, ReadReturnsBurnedBytes) {
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, (std::vector<std::uint8_t>{6, 7, 8}));
   EXPECT_EQ(drive.bytes_read(), 3u);
+}
+
+TEST_F(OpticalDriveTest, ReadImageStreamReturnsTheStoredStream) {
+  OpticalDrive drive(sim_, nullptr, 0);
+  // Sparse session: the stored stream is shorter than the logical size.
+  auto disc = BurnedDisc("img", {9, 8, 7, 6, 5}, kMB);
+  ASSERT_TRUE(disc->AppendSession("empty", kMB, {}, true).ok());
+  disc_ = std::move(disc);
+  ASSERT_TRUE(drive.InsertDisc(disc_.get()).ok());
+  auto stream = sim_.RunUntilComplete(drive.ReadImageStream("img"));
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  EXPECT_EQ(*stream, (std::vector<std::uint8_t>{9, 8, 7, 6, 5}));
+  EXPECT_EQ(drive.bytes_read(), 5u);
+  // An empty stored stream comes back empty but still charges one byte.
+  stream = sim_.RunUntilComplete(drive.ReadImageStream("empty"));
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  EXPECT_TRUE(stream->empty());
+  EXPECT_EQ(drive.bytes_read(), 6u);
+}
+
+// Same sim time and drive telemetry as mounting and reading by hand, from
+// a sleeping drive, an awake one without a VFS mount, and a mounted one
+// whose head must seek back to the stream start.
+TEST_F(OpticalDriveTest, ReadImageStreamChargesLikeMountThenRead) {
+  for (const std::vector<std::uint8_t>& stored :
+       {std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6},
+        std::vector<std::uint8_t>{}}) {
+    auto disc_a = BurnedDisc("img", stored, 3 * kMB);
+    auto disc_b = BurnedDisc("img", stored, 3 * kMB);
+    OpticalDrive a(sim_, nullptr, 0);
+    OpticalDrive b(sim_, nullptr, 1);
+    ASSERT_TRUE(a.InsertDisc(disc_a.get()).ok());
+    ASSERT_TRUE(b.InsertDisc(disc_b.get()).ok());
+    for (int step = 0; step < 3; ++step) {
+      if (step == 1) {
+        a.InvalidateVfs();
+        b.InvalidateVfs();
+      }
+      sim::TimePoint t0 = sim_.now();
+      auto stream = sim_.RunUntilComplete(a.ReadImageStream("img"));
+      ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+      EXPECT_EQ(*stream, stored);
+      const sim::Duration one_call = sim_.now() - t0;
+      t0 = sim_.now();
+      ASSERT_TRUE(
+          sim_.RunUntilComplete(MountThenRead(&b, "img", stored.size()))
+              .ok());
+      EXPECT_EQ(one_call, sim_.now() - t0) << "step " << step;
+      EXPECT_EQ(a.bytes_read(), b.bytes_read()) << "step " << step;
+      EXPECT_EQ(a.busy_time(), b.busy_time()) << "step " << step;
+      if (step == 0) {
+        EXPECT_GT(one_call, Seconds(2.0));  // paid the wake
+      }
+    }
+  }
+}
+
+TEST_F(OpticalDriveTest, ReadImageStreamErrors) {
+  OpticalDrive drive(sim_, nullptr, 0);
+  EXPECT_EQ(sim_.RunUntilComplete(drive.ReadImageStream("img"))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  disc_ = BurnedDisc("img", {1, 2, 3, 4}, kMB);
+  ASSERT_TRUE(drive.InsertDisc(disc_.get()).ok());
+  // An absent image is reported after the wake + VFS mount are charged.
+  sim::TimePoint t0 = sim_.now();
+  EXPECT_EQ(sim_.RunUntilComplete(drive.ReadImageStream("other"))
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(sim_.now() - t0, Seconds(2.0) + sim::Millis(220));
+  EXPECT_TRUE(drive.vfs_mounted());
+  EXPECT_EQ(drive.bytes_read(), 0u);
+
+  disc_->CorruptSector(0);
+  EXPECT_EQ(sim_.RunUntilComplete(drive.ReadImageStream("img"))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 // Sequential continuation does not seek; switching files does.
