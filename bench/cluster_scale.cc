@@ -5,7 +5,8 @@
 // the identical aggregate workload (fixed client count, fixed bytes) runs
 // against 1, 2, 4 and 8 racks, and reports aggregate read throughput and
 // per-read latency percentiles per rack count, next to a FIFO single-rack
-// baseline (fetch scheduler off — the pre-PR-6 dispatch) for context.
+// baseline (OlfsParams::fetch_dispatch = FetchDispatch::kFifo: reads
+// scramble for bays first-come-first-served) for context.
 //
 // Clients write into per-client buckets (stream-tagged, so placement sees
 // affinity), the burn pipeline drains, caches are dropped, and then every
@@ -79,7 +80,9 @@ olfs::ClusterParams MakeParams(int racks, bool fifo) {
   params.racks = racks;
   params.rack_params.disc_capacity_override = kDiscCapacity;
   params.rack_params.read_cache_bytes = 0;  // reads exercise the fetch path
-  params.rack_params.fetch_scheduler_enabled = !fifo;
+  if (fifo) {
+    params.rack_params.fetch_dispatch = olfs::FetchDispatch::kFifo;
+  }
   return params;
 }
 
@@ -353,8 +356,8 @@ int main(int argc, char** argv) {
                 cell.read_makespan_s);
   }
 
-  // FIFO single-rack baseline: the pre-scheduler dispatch under the same
-  // aggregate load, for context (not gated).
+  // FIFO single-rack baseline: first-come-first-served dispatch under the
+  // same aggregate load, for context (not gated).
   CellResult fifo;
   if (!RunCell(/*racks=*/1, /*fifo=*/true, load, &fifo)) {
     return 1;

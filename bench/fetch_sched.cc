@@ -1,6 +1,8 @@
 // Fetch-scheduler benchmark (DESIGN.md §5f): tray-batched, geometry-aware
-// dispatch vs. the legacy first-come-first-served bay scramble, measured
-// in the same binary by flipping OlfsParams::fetch_scheduler_enabled.
+// dispatch vs. the first-come-first-served bay scramble, measured in the
+// same binary by flipping OlfsParams::fetch_dispatch. The `fifo` cells run
+// FetchDispatch::kFifo: reads claim bays through MechController::AcquireBay
+// in wake order, with no tray-batched dispatch, bay handoff or reordering.
 //
 // For each (concurrent readers, locality mix) cell the identical seeded
 // read sequence runs against a fresh rack in both modes and reports, in
@@ -34,7 +36,7 @@
 //     every reader count
 //
 // Flags: --smoke (one 8-reader sweep, CI-sized), --trace-only (skip the
-// legacy scheduler and scan-resistance sections), --replay-check (double-
+// dispatch-policy and scan-resistance sections), --replay-check (double-
 // run the smoke scheduler cell with the sim::EventHasher divergence
 // oracle installed and fail on any event-stream divergence, naming the
 // first divergent event).
@@ -150,7 +152,9 @@ bool RunMode(bool scheduler_enabled,
   olfs::OlfsParams params;
   params.disc_capacity_override = kDiscCapacity;
   params.read_cache_bytes = 0;  // every read exercises the fetch path
-  params.fetch_scheduler_enabled = scheduler_enabled;
+  if (!scheduler_enabled) {
+    params.fetch_dispatch = olfs::FetchDispatch::kFifo;
+  }
   olfs::Olfs olfs(sim, &system, params);
   olfs.burns().burn_start_interval = sim::Seconds(1);
 
@@ -196,8 +200,8 @@ bool RunMode(bool scheduler_enabled,
   out->p50_s = stats.p50;
   out->p99_s = stats.p99;
 
-  if (const olfs::FetchScheduler* sched = olfs.fetch_scheduler()) {
-    const olfs::FetchSchedulerStats& s = sched->stats();
+  if (scheduler_enabled) {
+    const olfs::FetchSchedulerStats& s = olfs.fetch_scheduler()->stats();
     json::Object t;
     t["requests"] = json::Value(static_cast<std::int64_t>(s.requests));
     t["parked_hits"] =
@@ -404,7 +408,6 @@ bool RunTrace(bool hints, int readers, TraceResult* out) {
   // Large enough for every stream's whole-tray readahead to stay resident
   // through the replay; identical in both modes so only the hints differ.
   params.read_cache_bytes = 48 * kMiB;
-  params.fetch_scheduler_enabled = true;
   // Pool three extra arrays' worth of closed images before planning a
   // burn batch, so the clusterer sees all four streams at once. Inert in
   // hints-off mode (no co-access edges are ever recorded).
@@ -472,12 +475,10 @@ bool RunTrace(bool hints, int readers, TraceResult* out) {
   out->readahead_images = olfs.readahead_images();
   out->readahead_bytes = olfs.readahead_bytes();
   out->affinity_edges = olfs.affinity().edges();
-  if (const olfs::FetchScheduler* sched = olfs.fetch_scheduler()) {
-    const olfs::FetchSchedulerStats& s = sched->stats();
-    out->speculative_enqueued = s.speculative_enqueued;
-    out->speculative_loads = s.speculative_loads;
-    out->speculative_demand_evictions = s.speculative_demand_evictions;
-  }
+  const olfs::FetchSchedulerStats& s = olfs.fetch_scheduler()->stats();
+  out->speculative_enqueued = s.speculative_enqueued;
+  out->speculative_loads = s.speculative_loads;
+  out->speculative_demand_evictions = s.speculative_demand_evictions;
   sim.Shutdown();
   return true;
 }

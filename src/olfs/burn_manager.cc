@@ -19,6 +19,7 @@ BurnManager::BurnManager(sim::Simulator& sim, const OlfsParams& params,
       burns_changed_(sim) {
   interrupt_requested_.assign(
       static_cast<std::size_t>(mech_->num_bays()), false);
+  burn_bays_.assign(static_cast<std::size_t>(mech_->num_bays()), false);
 }
 
 void BurnManager::NotifyImageClosed(const std::string&) {
@@ -93,18 +94,20 @@ sim::Task<Status> BurnManager::FlushPartialArray() {
   co_return OkStatus();
 }
 
-Status BurnManager::InterruptBay(int bay) {
-  if (bay < 0 || bay >= mech_->num_bays()) {
-    return InvalidArgumentError("bad bay");
-  }
-  interrupt_requested_[static_cast<std::size_t>(bay)] = true;
-  drive::DriveSet& set = mech_->drive_set(bay);
-  for (int i = 0; i < set.size(); ++i) {
-    if (set.drive(i).state() == drive::DriveState::kBurning) {
-      set.drive(i).RequestInterrupt();
+void BurnManager::InterruptOneBurn() {
+  for (int bay = 0; bay < mech_->num_bays(); ++bay) {
+    if (!burn_bays_[static_cast<std::size_t>(bay)]) {
+      continue;
     }
+    interrupt_requested_[static_cast<std::size_t>(bay)] = true;
+    drive::DriveSet& set = mech_->drive_set(bay);
+    for (int i = 0; i < set.size(); ++i) {
+      if (set.drive(i).state() == drive::DriveState::kBurning) {
+        set.drive(i).RequestInterrupt();
+      }
+    }
+    return;  // interrupting one burn frees one bay, which is enough
   }
-  return OkStatus();
 }
 
 sim::Task<void> BurnManager::BurnArrayTask(
@@ -164,7 +167,9 @@ sim::Task<void> BurnManager::BurnArrayTask(
       fatal_error_ = bay.status();
       break;
     }
+    burn_bays_[static_cast<std::size_t>(*bay)] = true;
     Status status = co_await BurnArrayInBay(job, *bay);
+    burn_bays_[static_cast<std::size_t>(*bay)] = false;
     mech_->ReleaseBay(*bay);
     if (status.ok()) {
       --active_burns_;

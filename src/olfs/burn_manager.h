@@ -56,9 +56,10 @@ class BurnManager {
   // available members). No-op when nothing is pending.
   sim::Task<Status> FlushPartialArray();
 
-  // Requests an interrupt of the burn running in `bay` (§4.8). Returns
+  // Requests an interrupt (§4.8) of the burn in the lowest-numbered bay a
+  // burn task holds; a no-op when no burn holds a bay. Returns
   // immediately; the burn task handles suspension.
-  Status InterruptBay(int bay);
+  void InterruptOneBurn();
 
   // Waits until every queued, active and suspended burn has completed.
   sim::Task<Status> DrainAll();
@@ -132,6 +133,7 @@ class BurnManager {
   int arrays_reallocated_ = 0;
   std::vector<std::string> claimed_;  // images owned by running burn tasks
   std::vector<bool> interrupt_requested_;
+  std::vector<bool> burn_bays_;  // bays a burn task currently holds
   sim::ConditionVariable burns_changed_;
   Status last_error_;
   Status fatal_error_;

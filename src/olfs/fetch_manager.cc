@@ -10,39 +10,26 @@ namespace ros::olfs {
 
 sim::Task<StatusOr<FetchLease>> FetchManager::FetchDisc(
     std::string image_id) {
-  sim::Retrier retrier(
-      sim_, params_.mech_retry,
-      Fnv1a64({reinterpret_cast<const std::uint8_t*>(image_id.data()),
-               image_id.size()}));
-  while (true) {
-    StatusOr<FetchLease> lease = co_await FetchDiscOnce(image_id);
-    if (lease.ok()) {
-      co_return std::move(lease);
-    }
-    if (!co_await retrier.AwaitRetry(lease.status())) {
-      co_return lease.status();
-    }
-    ++retries_;
-    ROS_LOG(kWarning) << "retrying fetch of " << image_id << " (attempt "
-                      << retrier.attempts() + 1
-                      << "): " << lease.status().ToString();
-  }
+  return FetchWithRetry(std::move(image_id), &FetchManager::ReadOnce,
+                        /*seed_salt=*/0, "fetch");
 }
 
 sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscBackground(
     std::string image_id) {
-  if (scheduler_ == nullptr) {
-    // No background class without the scheduler; the legacy FIFO path is
-    // the best a sweep can do.
-    co_return co_await FetchDisc(image_id);
-  }
+  return FetchWithRetry(std::move(image_id), &FetchManager::BackgroundOnce,
+                        /*seed_salt=*/0xBA5EBA11u, "background fetch");
+}
+
+sim::Task<StatusOr<FetchLease>> FetchManager::FetchWithRetry(
+    std::string image_id, Attempt attempt, std::uint64_t seed_salt,
+    const char* what) {
   sim::Retrier retrier(
       sim_, params_.mech_retry,
       Fnv1a64({reinterpret_cast<const std::uint8_t*>(image_id.data()),
                image_id.size()}) ^
-          0xBA5EBA11u);
+          seed_salt);
   while (true) {
-    StatusOr<FetchLease> lease = co_await FetchBackgroundOnce(image_id);
+    StatusOr<FetchLease> lease = co_await (this->*attempt)(image_id);
     if (lease.ok()) {
       co_return std::move(lease);
     }
@@ -50,41 +37,19 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscBackground(
       co_return lease.status();
     }
     ++retries_;
-    ROS_LOG(kWarning) << "retrying background fetch of " << image_id
+    ROS_LOG(kWarning) << "retrying " << what << " of " << image_id
                       << " (attempt " << retrier.attempts() + 1
                       << "): " << lease.status().ToString();
   }
 }
 
-sim::Task<StatusOr<FetchLease>> FetchManager::FetchBackgroundOnce(
+sim::Task<StatusOr<FetchLease>> FetchManager::ReadOnce(
     std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                          images_->Lookup(image_id));
-  if (!record->disc.has_value()) {
-    co_return FailedPreconditionError("image " + image_id +
-                                      " is not on any disc");
-  }
-  const mech::DiscAddress address = *record->disc;
-  ROS_CO_ASSIGN_OR_RETURN(
-      int bay, co_await scheduler_->AcquireForBackground(address));
-  co_return FetchLease(mech_, bay,
-                       &mech_->drive_set(bay).drive(address.index),
-                       scheduler_);
-}
-
-sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscOnce(
-    std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                          images_->Lookup(image_id));
-  if (!record->disc.has_value()) {
-    co_return FailedPreconditionError("image " + image_id +
-                                      " is not on any disc");
-  }
-  const mech::DiscAddress address = *record->disc;
-
-  // Under the interrupt-and-swap policy, give burning bays a nudge before
-  // queueing: the interrupted burn unloads at the next chunk boundary and
-  // our AcquireBay wakes up first in FIFO order.
+  ROS_CO_ASSIGN_OR_RETURN(const mech::DiscAddress address,
+                          Locate(image_id));
+  // Under the interrupt-and-swap policy, a read that finds every bay busy
+  // nudges a burn before queueing: the interrupted burn unloads at the
+  // next chunk boundary and frees its bay for the scheduler.
   if (params_.busy_drive_policy == BusyDrivePolicy::kInterruptAndSwap) {
     bool any_idle = false;
     for (int bay = 0; bay < mech_->num_bays(); ++bay) {
@@ -94,77 +59,36 @@ sim::Task<StatusOr<FetchLease>> FetchManager::FetchDiscOnce(
       }
     }
     if (!any_idle) {
-      for (int bay = 0; bay < mech_->num_bays(); ++bay) {
-        (void)burns_->InterruptBay(bay);
-        break;  // interrupting one bay is enough
-      }
+      burns_->InterruptOneBurn();
     }
   }
+  ROS_CO_ASSIGN_OR_RETURN(int bay,
+                          co_await scheduler_->AcquireForRead(address));
+  co_return LeaseOn(bay, address);
+}
 
-  if (scheduler_ != nullptr) {
-    ROS_CO_ASSIGN_OR_RETURN(int bay,
-                            co_await scheduler_->AcquireForRead(address));
-    co_return FetchLease(mech_, bay,
-                         &mech_->drive_set(bay).drive(address.index),
-                         scheduler_);
-  }
+sim::Task<StatusOr<FetchLease>> FetchManager::BackgroundOnce(
+    std::string image_id) {
+  ROS_CO_ASSIGN_OR_RETURN(const mech::DiscAddress address,
+                          Locate(image_id));
+  ROS_CO_ASSIGN_OR_RETURN(
+      int bay, co_await scheduler_->AcquireForBackground(address));
+  co_return LeaseOn(bay, address);
+}
 
-  // Legacy FIFO shape (scheduler disabled): share an in-flight load of the
-  // same tray instead of double-loading (the second LoadArray would find
-  // the tray empty).
-  const int tray_index = address.tray.ToIndex();
-  int bay = -1;
-  while (true) {
-    auto inflight = inflight_.find(tray_index);
-    if (inflight != inflight_.end()) {
-      std::shared_ptr<sim::Event> done = inflight->second;
-      co_await done->Wait();
-      continue;  // loader finished; re-evaluate
-    }
-    // ros-lint: allow(acquire-bay): legacy FIFO path, kept as the bench
-    // baseline and for fetch_scheduler_enabled=false deployments.
-    ROS_CO_ASSIGN_OR_RETURN(
-        bay, co_await mech_->AcquireBay(address.tray, /*wait=*/true));
+StatusOr<mech::DiscAddress> FetchManager::Locate(
+    const std::string& image_id) const {
+  ROS_ASSIGN_OR_RETURN(const ImageRecord* record, images_->Lookup(image_id));
+  if (!record->disc.has_value()) {
+    return FailedPreconditionError("image " + image_id +
+                                   " is not on any disc");
+  }
+  return *record->disc;
+}
 
-    // Already loaded with the right array?
-    if (mech_->bay_tray(bay).has_value() &&
-        *mech_->bay_tray(bay) == address.tray) {
-      co_return FetchLease(mech_, bay,
-                           &mech_->drive_set(bay).drive(address.index));
-    }
-    // Another reader may have become the loader while our acquisition was
-    // pending; hand the bay back and wait for them instead.
-    if (inflight_.count(tray_index) > 0) {
-      mech_->ReleaseBay(bay);
-      continue;
-    }
-    break;  // we are the loader, holding `bay`
-  }
-
-  // Publish the in-flight marker so concurrent readers of this tray wait
-  // for us rather than racing (no suspension since the check above).
-  auto done = std::make_shared<sim::Event>(sim_);
-  inflight_.emplace(tray_index, done);
-
-  // Evict whatever idle array occupies the bay (the 155 s case).
-  Status status = OkStatus();
-  if (mech_->bay_tray(bay).has_value()) {
-    status = co_await mech_->UnloadArray(bay);
-  }
-  if (status.ok()) {
-    status = co_await mech_->LoadArray(address.tray, bay);
-  }
-  inflight_.erase(tray_index);
-  done->Set();
-  if (!status.ok()) {
-    mech_->ReleaseBay(bay);
-    co_return status;
-  }
-  ++fetches_;
-  ROS_LOG(kDebug) << "fetched disc array " << address.tray.ToString()
-                  << " for image " << image_id;
-  co_return FetchLease(mech_, bay,
-                       &mech_->drive_set(bay).drive(address.index));
+FetchLease FetchManager::LeaseOn(int bay, mech::DiscAddress address) {
+  return FetchLease(scheduler_, bay,
+                    &mech_->drive_set(bay).drive(address.index));
 }
 
 }  // namespace ros::olfs

@@ -66,6 +66,9 @@ sim::Duration FetchScheduler::PositioningCost(mech::TrayAddress tray) {
 
 sim::Task<StatusOr<int>> FetchScheduler::AcquireForRead(
     mech::DiscAddress address) {
+  if (params_.fetch_dispatch == FetchDispatch::kFifo) {
+    co_return co_await AcquireFifo(address.tray);
+  }
   EnsureDispatcher();
   const int tray = address.tray.ToIndex();
   ++stats_.requests;
@@ -99,11 +102,59 @@ sim::Task<StatusOr<int>> FetchScheduler::AcquireForRead(
   }
   stats_.max_queue_depth = std::max(
       stats_.max_queue_depth, static_cast<std::uint64_t>(queue_depth()));
-  // Wake the dispatcher (and any legacy AcquireBay waiters; they re-scan
-  // and go back to sleep, which keeps wakeup order deterministic).
+  // Wake the dispatcher (and any direct AcquireBay waiters such as burns;
+  // they re-scan and go back to sleep, which keeps wakeup order
+  // deterministic).
   mech_->bay_changed().NotifyAll();
   co_await request->done.Wait();
   co_return request->bay;
+}
+
+sim::Task<StatusOr<int>> FetchScheduler::AcquireFifo(
+    mech::TrayAddress tray) {
+  ++stats_.requests;
+  const int index = tray.ToIndex();
+  int bay = -1;
+  while (true) {
+    auto inflight = fifo_loading_.find(index);
+    if (inflight != fifo_loading_.end()) {
+      std::shared_ptr<sim::Event> done = inflight->second;
+      co_await done->Wait();
+      continue;  // loader finished; re-scan
+    }
+    ROS_CO_ASSIGN_OR_RETURN(
+        bay, co_await mech_->AcquireBay(tray, /*wait=*/true));
+    if (mech_->bay_tray(bay) == tray) {
+      ++stats_.parked_hits;
+      co_return bay;
+    }
+    // Another reader became this tray's loader while our claim was
+    // pending; hand the bay back and wait for them instead.
+    if (fifo_loading_.count(index) > 0) {
+      mech_->ReleaseBay(bay);
+      continue;
+    }
+    break;  // we are the loader, holding `bay`
+  }
+
+  auto done = std::make_shared<sim::Event>(sim_);
+  fifo_loading_.emplace(index, done);
+  Status status = OkStatus();
+  if (mech_->bay_tray(bay).has_value()) {
+    ++stats_.unloads;
+    status = co_await mech_->UnloadArray(bay);
+  }
+  if (status.ok()) {
+    ++stats_.loads;
+    status = co_await mech_->LoadArray(tray, bay);
+  }
+  fifo_loading_.erase(index);
+  done->Set();
+  if (!status.ok()) {
+    mech_->ReleaseBay(bay);
+    co_return status;
+  }
+  co_return bay;
 }
 
 sim::Task<StatusOr<int>> FetchScheduler::AcquireForBackground(
@@ -158,7 +209,8 @@ sim::Task<void> FetchScheduler::DispatchLoop() {
 
 void FetchScheduler::EnqueueSpeculative(mech::TrayAddress tray) {
   const int index = tray.ToIndex();
-  if (loading_.count(index) > 0 || BayHolding(index) >= 0) {
+  if (params_.fetch_dispatch == FetchDispatch::kFifo ||
+      loading_.count(index) > 0 || BayHolding(index) >= 0) {
     return;
   }
   if (std::find(spec_pending_.begin(), spec_pending_.end(), index) !=

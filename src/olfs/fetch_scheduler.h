@@ -18,6 +18,10 @@
 //     dispatched strict-FIFO, so starvation under hostile locality is
 //     impossible and tail latency is provably bounded.
 //
+// Under FetchDispatch::kFifo none of that applies: reads scramble for bays
+// first-come-first-served (AcquireFifo), the baseline the benches measure
+// the scheduler against.
+//
 // Everything is driven by simulated time and iterates ordered containers,
 // so a given workload + seed always produces the same dispatch order.
 #ifndef ROS_SRC_OLFS_FETCH_SCHEDULER_H_
@@ -96,6 +100,7 @@ class FetchScheduler {
   // the array first when necessary. Concurrent requests for one tray share
   // a single load cycle; each gets its own completion. The claimed bay
   // must be returned through ReleaseBay (FetchLease does this).
+  // Under FetchDispatch::kFifo the claim is AcquireFifo's instead.
   sim::Task<StatusOr<int>> AcquireForRead(mech::DiscAddress address);
 
   // Returns a bay claimed through AcquireForRead. If more requests are
@@ -117,7 +122,8 @@ class FetchScheduler {
   // readahead). Speculative loads dispatch only when every queued demand
   // request is already resident or in flight, never evict a tray with
   // queued demand, and pending entries are canceled the moment new demand
-  // queues. Dropped when the tray is already resident, loading or queued.
+  // queues. Dropped when the tray is already resident, loading or queued,
+  // and under FetchDispatch::kFifo.
   void EnqueueSpeculative(mech::TrayAddress tray);
 
   // True if any queued or in-dispatch request wants `tray` (the demand
@@ -151,6 +157,10 @@ class FetchScheduler {
     StatusOr<int> bay;
   };
 
+  // kFifo claim: AcquireBay in wake order, then unload/load unless the bay
+  // already holds the tray. A read whose tray is being loaded waits for
+  // that load and re-scans rather than loading it a second time.
+  sim::Task<StatusOr<int>> AcquireFifo(mech::TrayAddress tray);
   void EnsureDispatcher();
   sim::Task<void> DispatchLoop();
   // One synchronous scheduling pass; true if anything was dispatched.
@@ -189,6 +199,8 @@ class FetchScheduler {
   // tray index -> FIFO of waiting requests (std::map: deterministic scan).
   std::map<int, std::deque<std::shared_ptr<Request>>> queues_;
   std::set<int> loading_;  // trays with a load cycle in flight
+  // kFifo: tray index -> completion event of its in-flight load.
+  std::map<int, std::shared_ptr<sim::Event>> fifo_loading_;
   // Background class: speculative trays pending dispatch (FIFO), and
   // speculatively loaded trays still parked without having seen demand.
   std::deque<int> spec_pending_;

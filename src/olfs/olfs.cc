@@ -39,11 +39,9 @@ ParsedInternalPath ParseInternalPath(const std::string& internal) {
 Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
     : sim_(sim), system_(system), params_(params) {
   ROS_CHECK(system != nullptr);
-  MetadataVolume::Options mv_options;
-  mv_options.log_structured = params_.log_structured_mv_enabled;
-  mv_options.commit_window = params_.mv_commit_window;
-  mv_ = std::make_unique<MetadataVolume>(sim_, system->mv_volume(),
-                                         mv_options);
+  mv_ = std::make_unique<MetadataVolume>(
+      sim_, system->mv_volume(),
+      MetadataVolume::Options{.log_structured = true});
   images_ = std::make_unique<DiscImageStore>();
   affinity_ = std::make_unique<AffinityTracker>();
   predictor_ = std::make_unique<TrayPredictor>();
@@ -53,22 +51,18 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
   buckets_->set_affinity_tracker(affinity_.get());
   parity_ = std::make_unique<ParityBuilder>(sim_, params_, images_.get());
   da_ = std::make_unique<DaIndex>(system->config().rollers);
-  cache_ = std::make_unique<ReadCache>(params_.read_cache_bytes,
-                                       params_.read_cache_protected_fraction);
+  cache_ = std::make_unique<ReadCache>(params_.read_cache_bytes);
   file_cache_ = std::make_unique<FileCache>(params_.file_cache_bytes);
   mech_ = std::make_unique<MechController>(sim_, system->library(),
                                            system->drive_sets(),
                                            &system->discs(), params_);
-  if (params_.fetch_scheduler_enabled) {
-    scheduler_ =
-        std::make_unique<FetchScheduler>(sim_, params_, mech_.get());
-    // Burns and recovery scans pick unload victims through AcquireBay;
-    // the oracle keeps them away from arrays that readers are queued for.
-    mech_->SetDemandOracle([scheduler = scheduler_.get()](
-                               mech::TrayAddress tray) {
-      return scheduler->HasDemand(tray);
-    });
-  }
+  scheduler_ = std::make_unique<FetchScheduler>(sim_, params_, mech_.get());
+  // Burns and recovery scans pick unload victims through AcquireBay;
+  // the oracle keeps them away from arrays that readers are queued for.
+  mech_->SetDemandOracle([scheduler = scheduler_.get()](
+                             mech::TrayAddress tray) {
+    return scheduler->HasDemand(tray);
+  });
   burns_ = std::make_unique<BurnManager>(sim_, params_, buckets_.get(),
                                          images_.get(), parity_.get(),
                                          mech_.get(), da_.get(), cache_.get(),
@@ -512,7 +506,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadPart(
       if (hint.stream != 0 && record->disc.has_value()) {
         const int tray = record->disc->tray.ToIndex();
         const int predicted = predictor_->Observe(hint.stream, tray);
-        if (scheduler_ != nullptr && predicted >= 0 && predicted != tray) {
+        if (predicted >= 0 && predicted != tray) {
           scheduler_->EnqueueSpeculative(mech::TrayAddress::FromIndex(predicted));
         }
       }
@@ -1220,7 +1214,7 @@ sim::Task<void> Olfs::Quiesce() {
   // controller-replacement path relies on the same property.)
   while (bg_passes_ > 0 || detached_tasks_ > 0 ||
          burns_->active_burns() > 0 ||
-         (scheduler_ != nullptr && !scheduler_->Idle())) {
+         !scheduler_->Idle()) {
     co_await sim_.Delay(sim::Millis(100));
   }
 }

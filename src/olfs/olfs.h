@@ -219,7 +219,7 @@ class Olfs {
   BucketManager& buckets() { return *buckets_; }
   BurnManager& burns() { return *burns_; }
   FetchManager& fetches() { return *fetcher_; }
-  // Null when params.fetch_scheduler_enabled is false (legacy FIFO path).
+  // Never null: every read's bay claim goes through the scheduler.
   FetchScheduler* fetch_scheduler() { return scheduler_.get(); }
   ReadCache& cache() { return *cache_; }
   FileCache& file_cache() { return *file_cache_; }

@@ -19,6 +19,19 @@ enum class BusyDrivePolicy {
   kInterruptAndSwap,  // interrupt, swap arrays, resume in append-burn mode
 };
 
+// How the FetchScheduler turns queued reads into bay claims (§4.1).
+enum class FetchDispatch {
+  // Tray batching, same-tray bay handoff and geometry-aware order bounded
+  // by OlfsParams::fetch_aging_bound (DESIGN.md §5f).
+  kScheduled,
+  // First-come-first-served bay scramble: each read claims a bay through
+  // MechController::AcquireBay in wake order and loads its own tray;
+  // readers of a tray already being loaded wait for that load. No
+  // handoff, no reordering, no speculative class. The in-binary baseline
+  // of bench/fetch_sched and bench/cluster_scale.
+  kFifo,
+};
+
 struct OlfsParams {
   // Media and redundancy schema (§4.7): 12-disc arrays, 11 data + 1 parity
   // (RAID-5) by default; 10 + 2 (RAID-6) under rigid requirements.
@@ -39,32 +52,20 @@ struct OlfsParams {
   bool forepart_enabled = false;
   std::uint64_t forepart_bytes = 256 * kKiB;
 
-  // Read cache (§4.1): disc-image-granular LRU capacity on the disk buffer.
+  // Read cache (§4.1): disc-image-granular segmented-LRU capacity on the
+  // disk buffer.
   std::uint64_t read_cache_bytes = 50 * kTB;
-  // Protected-segment share of the read cache's segmented LRU. Entries are
-  // admitted probationary and promoted on re-reference, so one cold
-  // sequential sweep cannot evict the hot working set. A value <= 0 falls
-  // back to a plain LRU (the pre-scheduler shape, kept for benches).
-  double read_cache_protected_fraction = 0.8;
 
   // Mechanically-aware fetch scheduling (§4.1: the MC "optimizes the usage
-  // of mechanical resources"). When enabled, queued fetches are grouped by
-  // tray (one load/unload cycle drains every waiter of that tray) and
-  // dispatched in the order that minimizes roller rotation + arm travel.
-  // Disabled, the fetch path degenerates to the first-come-first-served
-  // bay scramble, kept as the bench/fetch_sched baseline.
-  bool fetch_scheduler_enabled = true;
-  // Namespace store backend (DESIGN.md §5i): on, mutations group-commit
-  // into a WAL over memtable + sorted segments; off, the legacy
-  // one-JSON-file-per-entry layout (kept in-binary as the baseline and
-  // fallback).
-  bool log_structured_mv_enabled = true;
-  // Group-commit flush window for the log-structured backend's WAL.
-  sim::Duration mv_commit_window = sim::Micros(100);
-  // A queued fetch older than this is dispatched strict-FIFO regardless of
-  // positioning cost, so tail latency under hostile locality is bounded by
-  // (aging bound + one unload/load cycle). Negative disables aging; zero
-  // makes every queued request immediately aged, i.e. strict FIFO.
+  // of mechanical resources"): under kScheduled dispatch, queued fetches
+  // are grouped by tray (one load/unload cycle drains every waiter of that
+  // tray) and dispatched in the order that minimizes roller rotation + arm
+  // travel. A queued fetch older than the aging bound is dispatched
+  // strict-FIFO regardless of positioning cost, so tail latency under
+  // hostile locality is bounded by (aging bound + one unload/load cycle).
+  // Negative disables aging; zero makes every queued request immediately
+  // aged, i.e. strict FIFO.
+  FetchDispatch fetch_dispatch = FetchDispatch::kScheduled;
   sim::Duration fetch_aging_bound = sim::Seconds(300);
 
   // Cross-layer hints. All three optimizations key off AccessHint::stream,

@@ -351,49 +351,58 @@ TEST_F(ChaosTest, TerminalBurnFailureReportedByDrainAll) {
 }
 
 // S1 regression: a FetchLease parks its bay when dropped, and a fetch
-// that errors out mid-flight never leaks a busy bay.
+// that errors out mid-flight never leaks a busy bay. Run for both fetch
+// classes: they share one retry loop.
 TEST_F(ChaosTest, FetchLeaseReleasesBayOnDropAndOnError) {
-  auto payload = RandomBytes(24 * kKiB, 23);
-  ASSERT_TRUE(Create("/chaos/lease.bin", payload).ok());
-  ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
-  auto index = sim_->RunUntilComplete(olfs_->mv().Get("/chaos/lease.bin"));
-  ASSERT_TRUE(index.ok());
-  const std::string image_id = (*index->Latest())->parts[0].image_id;
+  using Fetch = sim::Task<StatusOr<FetchLease>> (FetchManager::*)(
+      std::string);
+  for (Fetch fetch :
+       {&FetchManager::FetchDisc, &FetchManager::FetchDiscBackground}) {
+    const bool background = fetch == &FetchManager::FetchDiscBackground;
+    SCOPED_TRACE(background ? "FetchDiscBackground" : "FetchDisc");
+    Reset(ChaosParams());
+    FetchManager& fetches = olfs_->fetches();
+    auto payload = RandomBytes(24 * kKiB, 23);
+    ASSERT_TRUE(Create("/chaos/lease.bin", payload).ok());
+    ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
+    auto index =
+        sim_->RunUntilComplete(olfs_->mv().Get("/chaos/lease.bin"));
+    ASSERT_TRUE(index.ok());
+    const std::string image_id = (*index->Latest())->parts[0].image_id;
 
-  // Drop a live lease without calling Release(): the destructor parks it.
-  int bay = -1;
-  {
-    auto lease =
-        sim_->RunUntilComplete(olfs_->fetches().FetchDisc(image_id));
-    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
-    bay = lease->bay();
-    EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kBusy);
-    lease->Release();
-    lease->Release();  // idempotent
-    EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kParked);
-  }
-  // Park the array back on its tray so later fetches must reload it.
-  {
-    auto again =
-        sim_->RunUntilComplete(olfs_->fetches().FetchDisc(image_id));
-    ASSERT_TRUE(again.ok());
-    ASSERT_TRUE(sim_->RunUntilComplete(
-                    olfs_->mech().UnloadArray(again->bay())).ok());
-  }
+    // Drop a live lease without calling Release(): the destructor parks it.
+    int bay = -1;
+    {
+      auto lease = sim_->RunUntilComplete((fetches.*fetch)(image_id));
+      ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+      bay = lease->bay();
+      EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kBusy);
+      lease->Release();
+      lease->Release();  // idempotent
+      EXPECT_EQ(olfs_->mech().bay_state(bay), BayState::kParked);
+    }
+    // Park the array back on its tray so later fetches must reload it.
+    {
+      auto again = sim_->RunUntilComplete((fetches.*fetch)(image_id));
+      ASSERT_TRUE(again.ok());
+      ASSERT_TRUE(sim_->RunUntilComplete(
+                      olfs_->mech().UnloadArray(again->bay())).ok());
+    }
 
-  // Every mechanical op faults: the fetch retries, then errors out.
-  sim::FaultInjector& faults = InstallInjector(/*seed=*/29);
-  faults.SetRate(FaultKind::kMechFault, 1.0);
-  auto lease = sim_->RunUntilComplete(olfs_->fetches().FetchDisc(image_id));
-  EXPECT_FALSE(lease.ok());
-  EXPECT_GE(olfs_->fetches().retries(), 1u);
-  for (int b = 0; b < olfs_->mech().num_bays(); ++b) {
-    EXPECT_NE(olfs_->mech().bay_state(b), BayState::kBusy) << "bay " << b;
-  }
+    // Every mechanical op faults: the fetch retries, then errors out.
+    sim::FaultInjector& faults = InstallInjector(/*seed=*/29);
+    faults.SetRate(FaultKind::kMechFault, 1.0);
+    auto lease = sim_->RunUntilComplete((fetches.*fetch)(image_id));
+    EXPECT_FALSE(lease.ok());
+    EXPECT_GE(fetches.retries(), 1u);
+    for (int b = 0; b < olfs_->mech().num_bays(); ++b) {
+      EXPECT_NE(olfs_->mech().bay_state(b), BayState::kBusy) << "bay " << b;
+    }
 
-  // With the mechanics healthy again the same bay serves the read.
-  faults.SetRate(FaultKind::kMechFault, 0.0);
-  ExpectReadsBack("/chaos/lease.bin", payload);
+    // With the mechanics healthy again the same bay serves the read.
+    faults.SetRate(FaultKind::kMechFault, 0.0);
+    ExpectReadsBack("/chaos/lease.bin", payload);
+  }
 }
 
 // The headline invariant: under a seeded mix of at least three fault

@@ -29,9 +29,10 @@ std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
 }
 
 struct Rig {
-  explicit Rig(OlfsParams params) {
+  // One bay by default: burns and fetches collide.
+  explicit Rig(OlfsParams params, int drive_sets = 1) {
     SystemConfig config = TestSystemConfig();
-    config.drive_sets = 1;  // a single bay: burns and fetches collide
+    config.drive_sets = drive_sets;
     config.hdd_capacity = 8 * kGiB;
     system = std::make_unique<RosSystem>(sim, config);
     olfs = std::make_unique<Olfs>(sim, system.get(), params);
@@ -120,6 +121,67 @@ TEST(BusyDrivePolicy, InterruptAndSwapServesReadSooner) {
     ASSERT_TRUE(data.ok()) << i << ": " << data.status().ToString();
     EXPECT_TRUE(std::equal(data->begin(), data->end(),
                            RandomBytes(4096, i).begin()));
+  }
+}
+
+// Interrupt-and-swap with two bays: a reader holds one bay and a burn the
+// other. A new read of a third tray must interrupt the burn, not the
+// reader's bay, and be served before the burn completes.
+TEST(BusyDrivePolicy, InterruptAndSwapInterruptsTheBurningBay) {
+  Rig rig(PolicyParams(BusyDrivePolicy::kInterruptAndSwap), /*drive_sets=*/2);
+  Olfs& olfs = *rig.olfs;
+  sim::Simulator& sim = rig.sim;
+
+  const auto held = RandomBytes(64 * kKiB, 91);
+  const auto cold = RandomBytes(64 * kKiB, 92);
+  ASSERT_TRUE(sim.RunUntilComplete(
+                     olfs.Create("/held/data.bin", held, held.size()))
+                  .ok());
+  ASSERT_TRUE(sim.RunUntilComplete(olfs.FlushAndDrain()).ok());
+  ASSERT_TRUE(sim.RunUntilComplete(
+                     olfs.Create("/cold/data.bin", cold, cold.size()))
+                  .ok());
+  ASSERT_TRUE(sim.RunUntilComplete(olfs.FlushAndDrain()).ok());
+  auto index = sim.RunUntilComplete(olfs.mv().Get("/held/data.bin"));
+  ASSERT_TRUE(index.ok());
+  const std::string held_image = (*index->Latest())->parts[0].image_id;
+
+  {
+    // A reader holds one bay for the rest of the scenario.
+    auto lease =
+        sim.RunUntilComplete(olfs.fetches().FetchDisc(held_image));
+    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+
+    // A long burn takes the other bay and gets into recording.
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(sim.RunUntilComplete(
+                         olfs.Create("/bulk/f" + std::to_string(i),
+                                     RandomBytes(4096, i), 1536 * kMiB))
+                      .ok());
+    }
+    ASSERT_TRUE(
+        sim.RunUntilComplete(olfs.buckets().CloseCurrentBucket()).ok());
+    ASSERT_TRUE(sim.RunUntilComplete(olfs.burns().FlushPartialArray()).ok());
+    sim.RunFor(Seconds(80));
+    const int burned_before = olfs.burns().arrays_burned();
+    ASSERT_EQ(olfs.burns().active_burns(), 1);
+
+    auto data = sim.RunUntilComplete(
+        olfs.Read("/cold/data.bin", 0, cold.size()));
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    EXPECT_EQ(*data, cold);
+    EXPECT_GT(olfs.burns().interrupts_taken(), 0);
+    EXPECT_EQ(olfs.burns().arrays_burned(), burned_before)
+        << "the read waited for the burn to complete";
+  }
+
+  // The interrupted burn resumes and completes.
+  ASSERT_TRUE(sim.RunUntilComplete(olfs.burns().DrainAll()).ok());
+  for (int i = 0; i < 3; ++i) {
+    auto data = sim.RunUntilComplete(
+        olfs.Read("/bulk/f" + std::to_string(i), 0, 4096));
+    ASSERT_TRUE(data.ok()) << i << ": " << data.status().ToString();
+    EXPECT_EQ(*data, RandomBytes(4096, i));
   }
 }
 

@@ -54,7 +54,7 @@ leans on but the compiler cannot fully check:
                       the aging bound, so concurrent readers scramble for
                       bays FIFO-style again. Route reads through
                       FetchScheduler::AcquireForRead; a justified direct
-                      call (bulk scans, legacy paths) carries an inline
+                      call (bulk scans) carries an inline
                       `// ros-lint: allow(acquire-bay): <why>`.
 
   speculative-fetch   A direct FetchScheduler::AcquireForRead call outside
