@@ -1,23 +1,34 @@
-// Throughput of the GF(2^8) parity kernels, scalar reference vs the
-// word-sliced / split-nibble tier, printed as one JSON document so the
+// Throughput of the host-side byte kernels of the burn pipeline, scalar
+// reference vs the production tier, printed as one JSON document so the
 // speedups land in the bench trajectory:
 //
 //   {"buffer_bytes":...,"kernels":[
 //     {"kernel":"mulacc","scalar_mb_s":...,"sliced_mb_s":...,
 //      "speedup":...,"identical":true}, ...]}
 //
-// Each kernel pair also runs a differential check (same inputs through both
-// tiers must produce byte-identical output), so a reported speedup can
-// never come from a wrong kernel. Host wall-clock time, not simulated time.
+// Rows: the GF(2^8) parity kernels (word-sliced / split-nibble tier), the
+// CRC-32 that checksums every image stream (bytewise vs slicing-by-8), and
+// audit-leaf hashing (a per-leaf Fnv1a64 loop vs AuditLeafHashes; FNV-1a
+// is a serial chain, so this row has no faster tier and tracks cost only).
+//
+// Each pair also runs a differential check (same inputs through both tiers
+// must produce identical output), so a reported speedup can never come
+// from a wrong kernel; the program exits 1 if any row is not identical.
+// Host wall-clock time, not simulated time.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/gf256.h"
+#include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/olfs/audit.h"
+#include "src/olfs/params.h"
 
 namespace {
 
@@ -166,13 +177,53 @@ int main() {
     results.push_back(r);
   }
 
+  {
+    // Odd lengths and a seed exercise the sliced loop's tail and chaining.
+    KernelResult r{.kernel = "crc32"};
+    const std::span<const std::uint8_t> odd(in.data() + 3, in.size() - 10);
+    r.identical = Crc32(in) == Crc32Bytewise(in) &&
+                  Crc32(odd, 0x1234u) == Crc32Bytewise(odd, 0x1234u);
+    volatile std::uint32_t sink = 0;  // keeps the pure calls alive
+    r.scalar_mb_s =
+        MeasureMbPerSec(kBufferBytes, [&] { sink = Crc32Bytewise(in); });
+    r.sliced_mb_s = MeasureMbPerSec(kBufferBytes, [&] { sink = Crc32(in); });
+    results.push_back(r);
+  }
+
+  {
+    KernelResult r{.kernel = "audit_leaf"};
+    const std::uint64_t leaf = olfs::OlfsParams{}.audit_leaf_bytes;
+    auto per_leaf = [&] {
+      std::vector<std::uint64_t> leaves;
+      for (std::size_t at = 0; at < in.size(); at += leaf) {
+        const std::size_t n = std::min<std::size_t>(leaf, in.size() - at);
+        leaves.push_back(Fnv1a64({in.data() + at, n}));
+      }
+      return leaves;
+    };
+    r.identical = per_leaf() == olfs::AuditLeafHashes(in, leaf);
+    volatile std::uint64_t sink = 0;
+    r.scalar_mb_s =
+        MeasureMbPerSec(kBufferBytes, [&] { sink = per_leaf().back(); });
+    r.sliced_mb_s = MeasureMbPerSec(kBufferBytes, [&] {
+      sink = olfs::AuditLeafHashes(in, leaf).back();
+    });
+    results.push_back(r);
+  }
+
   json::Object doc;
   doc["buffer_bytes"] = static_cast<std::int64_t>(kBufferBytes);
   json::Array kernels;
+  bool all_identical = true;
   for (const KernelResult& r : results) {
     kernels.push_back(ToJson(r));
+    all_identical = all_identical && r.identical;
   }
   doc["kernels"] = std::move(kernels);
   std::printf("%s\n", json::Value(doc).DumpPretty().c_str());
+  if (!all_identical) {
+    std::fprintf(stderr, "a kernel disagrees with its reference\n");
+    return 1;
+  }
   return 0;
 }

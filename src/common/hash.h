@@ -1,4 +1,7 @@
-// CRC32 checksums used by the UDF serializer and disc scrubbing.
+// Checksums and fingerprints. CRC-32 guards every durable byte format:
+// serialized UDF image streams (src/udf/serializer.cc), audit manifests
+// (src/olfs/audit.cc), and the MV's write-ahead log records and segment
+// files (src/olfs/mv_log.cc, src/olfs/mv_segment.cc).
 #ifndef ROS_SRC_COMMON_HASH_H_
 #define ROS_SRC_COMMON_HASH_H_
 
@@ -10,27 +13,69 @@
 namespace ros {
 
 namespace internal {
-constexpr std::array<std::uint32_t, 256> MakeCrc32Table() {
-  std::array<std::uint32_t, 256> table{};
+// kCrc32Tables[0] is the classic bytewise table. Table k maps a byte to
+// its CRC contribution when k more zero bytes follow it, which lets the
+// sliced loop fold eight input bytes with eight independent lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> MakeCrc32Tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
-inline constexpr std::array<std::uint32_t, 256> kCrc32Table = MakeCrc32Table();
+inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables =
+    MakeCrc32Tables();
 }  // namespace internal
 
-// Standard CRC-32 (IEEE 802.3). Suitable for detecting media bit-rot in the
-// simulated disc scrubber; not a cryptographic hash.
-inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
-                           std::uint32_t seed = 0) {
+// Bytewise CRC-32: the reference Crc32 is tested and benchmarked against
+// (tests/hash_test.cc, bench/gf256_kernels.cc). Not for production paths.
+inline std::uint32_t Crc32Bytewise(std::span<const std::uint8_t> data,
+                                   std::uint32_t seed = 0) {
+  const auto& table = internal::kCrc32Tables[0];
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (std::uint8_t byte : data) {
-    c = internal::kCrc32Table[(c ^ byte) & 0xFF] ^ (c >> 8);
+    c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Standard CRC-32 (IEEE 802.3), slicing-by-8: bit-identical to
+// Crc32Bytewise. Chains: Crc32(b, Crc32(a)) == Crc32(a followed by b).
+// Detects media bit-rot and torn records; not a cryptographic hash.
+inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
+                           std::uint32_t seed = 0) {
+  const auto& t = internal::kCrc32Tables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    // Little-endian loads written bytewise, so the result does not depend
+    // on host byte order (compilers fold these into single loads).
+    const std::uint32_t lo =
+        c ^ (static_cast<std::uint32_t>(p[0]) |
+             static_cast<std::uint32_t>(p[1]) << 8 |
+             static_cast<std::uint32_t>(p[2]) << 16 |
+             static_cast<std::uint32_t>(p[3]) << 24);
+    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
+                             static_cast<std::uint32_t>(p[5]) << 8 |
+                             static_cast<std::uint32_t>(p[6]) << 16 |
+                             static_cast<std::uint32_t>(p[7]) << 24;
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -9,11 +9,32 @@
 
 namespace ros::drive {
 
-Status Disc::AppendSession(std::string image_id, std::uint64_t logical_size,
-                           std::vector<std::uint8_t> data, bool closed) {
-  if (data.size() > logical_size) {
+namespace {
+
+// Resolves a stored-prefix request against the payload it refers to.
+StatusOr<std::uint64_t> StoredPrefix(const SharedBytes& payload,
+                                     std::uint64_t stored_bytes,
+                                     std::uint64_t logical_size) {
+  const std::uint64_t available = BytesOf(payload).size();
+  if (stored_bytes == kWholePayload) {
+    stored_bytes = available;
+  }
+  if (stored_bytes > available) {
+    return InvalidArgumentError("stored prefix longer than payload");
+  }
+  if (stored_bytes > logical_size) {
     return InvalidArgumentError("session payload larger than logical size");
   }
+  return stored_bytes;
+}
+
+}  // namespace
+
+Status Disc::AppendSession(std::string image_id, std::uint64_t logical_size,
+                           SharedBytes payload, bool closed,
+                           std::uint64_t stored_bytes) {
+  ROS_ASSIGN_OR_RETURN(std::uint64_t stored,
+                       StoredPrefix(payload, stored_bytes, logical_size));
   if (logical_size > free_bytes()) {
     return ResourceExhaustedError("disc " + id_ + " lacks capacity for " +
                                   std::to_string(logical_size) + " bytes");
@@ -25,7 +46,8 @@ Status Disc::AppendSession(std::string image_id, std::uint64_t logical_size,
   session.image_id = std::move(image_id);
   session.start = next_start_;
   session.logical_size = logical_size;
-  session.data = std::move(data);
+  session.payload = std::move(payload);
+  session.stored_bytes = stored;
   session.closed = closed;
   next_start_ += logical_size;
   sessions_.push_back(std::move(session));
@@ -34,7 +56,8 @@ Status Disc::AppendSession(std::string image_id, std::uint64_t logical_size,
 
 Status Disc::ExtendOpenSession(const std::string& image_id,
                                std::uint64_t new_logical_size,
-                               std::vector<std::uint8_t> data, bool closed) {
+                               SharedBytes payload, bool closed,
+                               std::uint64_t stored_bytes) {
   if (sessions_.empty()) {
     return FailedPreconditionError("disc has no sessions");
   }
@@ -53,8 +76,11 @@ Status Disc::ExtendOpenSession(const std::string& image_id,
   if (grow > free_bytes()) {
     return ResourceExhaustedError("no capacity to extend session");
   }
+  ROS_ASSIGN_OR_RETURN(std::uint64_t stored,
+                       StoredPrefix(payload, stored_bytes, new_logical_size));
   last.logical_size = new_logical_size;
-  last.data = std::move(data);
+  last.payload = std::move(payload);
+  last.stored_bytes = stored;
   last.closed = closed;
   next_start_ += grow;
   return OkStatus();
@@ -105,11 +131,11 @@ StatusOr<std::vector<std::uint8_t>> Disc::ReadSession(
     }
   }
   std::vector<std::uint8_t> out(length, 0);
-  if (offset < session->data.size()) {
-    std::uint64_t n = std::min<std::uint64_t>(length,
-                                              session->data.size() - offset);
-    std::copy_n(session->data.begin() + static_cast<std::ptrdiff_t>(offset),
-                n, out.begin());
+  const std::span<const std::uint8_t> stored = session->data();
+  if (offset < stored.size()) {
+    std::uint64_t n = std::min<std::uint64_t>(length, stored.size() - offset);
+    std::copy_n(stored.begin() + static_cast<std::ptrdiff_t>(offset), n,
+                out.begin());
   }
   return out;
 }
@@ -123,10 +149,13 @@ Status Disc::TamperSessionData(const std::string& image_id,
     if (session.image_id != image_id) {
       continue;
     }
-    if (offset >= session.data.size()) {
+    const std::span<const std::uint8_t> stored = session.data();
+    if (offset >= stored.size()) {
       return OutOfRangeError("tamper offset beyond stored payload");
     }
-    session.data[offset] ^= xor_mask;
+    std::vector<std::uint8_t> copy(stored.begin(), stored.end());
+    copy[offset] ^= xor_mask;
+    session.payload = MakeSharedBytes(std::move(copy));
     return OkStatus();
   }
   return NotFoundError("image " + image_id + " not on disc " + id_);

@@ -4,9 +4,12 @@
 // sessions (tracks); WORM media only ever appends new sessions
 // ("pseudo-overwrite" — previously burned area is lost capacity), while RE
 // media can be erased a limited number of times (~1000 cycles). Session
-// payloads are stored sparsely: `data` may be shorter than `logical_size`,
-// with the tail reading as zeros, so PB-scale experiments do not need
-// PB-scale memory while timing still uses logical sizes.
+// payloads are stored sparsely: `data()` may be shorter than
+// `logical_size`, with the tail reading as zeros, so PB-scale experiments
+// do not need PB-scale memory while timing still uses logical sizes. A
+// session shares its payload with the burn's source (the image record's
+// cached stream) instead of copying it, and keeps only a length for the
+// prefix actually burned.
 //
 // Sector bit-rot is modelled explicitly: sectors can be marked corrupted
 // (archive-grade BD has a ~1e-16 sector error rate, §4.7), reads covering a
@@ -17,9 +20,11 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 
@@ -101,9 +106,18 @@ struct Session {
   std::string image_id;
   std::uint64_t start = 0;         // byte offset of the session on disc
   std::uint64_t logical_size = 0;  // bytes the session occupies
-  std::vector<std::uint8_t> data;  // real payload (may be < logical_size)
+  SharedBytes payload;             // shared with the burn's source
+  std::uint64_t stored_bytes = 0;  // burned prefix of `payload`
   bool closed = false;
+
+  // The real bytes on the media (may be shorter than logical_size).
+  std::span<const std::uint8_t> data() const {
+    return BytesOf(payload).first(stored_bytes);
+  }
 };
+
+// AppendSession / ExtendOpenSession default: the whole payload was burned.
+inline constexpr std::uint64_t kWholePayload = ~std::uint64_t{0};
 
 class Disc {
  public:
@@ -126,18 +140,23 @@ class Disc {
   int erase_cycles_used() const { return erase_cycles_; }
   const std::vector<Session>& sessions() const { return sessions_; }
 
-  // Appends a session. The burn itself (and its delay) is driven by
-  // OpticalDrive; this records the outcome on the media. Fails if the
-  // payload does not fit in the remaining capacity.
+  // Appends a session holding the first `stored_bytes` of `payload` (all
+  // of it by default; a partial burn stores the prefix it reached). The
+  // burn itself (and its delay) is driven by OpticalDrive; this records
+  // the outcome on the media. Fails if the stored bytes exceed the
+  // session or the session does not fit in the remaining capacity.
   Status AppendSession(std::string image_id, std::uint64_t logical_size,
-                       std::vector<std::uint8_t> data, bool closed);
+                       SharedBytes payload, bool closed,
+                       std::uint64_t stored_bytes = kWholePayload);
 
   // Extends the open trailing session (append-burn resume after an
-  // interrupt) to `new_logical_size`, replacing its payload and optionally
-  // closing it. Keeps the burned-bytes accounting consistent.
+  // interrupt) to `new_logical_size`, replacing its payload and stored
+  // prefix and optionally closing it. Keeps the burned-bytes accounting
+  // consistent.
   Status ExtendOpenSession(const std::string& image_id,
                            std::uint64_t new_logical_size,
-                           std::vector<std::uint8_t> data, bool closed);
+                           SharedBytes payload, bool closed,
+                           std::uint64_t stored_bytes = kWholePayload);
 
   // Erases a rewritable disc; fails on WORM media or exhausted cycles.
   Status Erase();
@@ -162,6 +181,8 @@ class Disc {
   // Flips bits in a session's stored payload *without* marking the sector
   // bad: reads succeed and return the tampered bytes, so only a checksum
   // audit can tell. Used to stage provable silent-corruption scenarios.
+  // Copy-on-write: the session gets its own copy of the stored bytes, so
+  // every other holder of the shared payload is unaffected.
   Status TamperSessionData(const std::string& image_id, std::uint64_t offset,
                            std::uint8_t xor_mask);
 

@@ -134,7 +134,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::ReadImageStream(
   ROS_CO_RETURN_IF_ERROR(co_await MountVfs());
   ROS_CO_ASSIGN_OR_RETURN(const Session* session,
                           disc_->FindSession(image_id));
-  const std::uint64_t n = session->data.size();
+  const std::uint64_t n = session->stored_bytes;
   // An empty stream still charges (and integrity-checks) one byte.
   ROS_CO_ASSIGN_OR_RETURN(
       std::vector<std::uint8_t> bytes,
@@ -145,12 +145,12 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::ReadImageStream(
 
 sim::Task<StatusOr<BurnResult>> OpticalDrive::BurnImage(
     std::string image_id, std::uint64_t logical_size,
-    std::vector<std::uint8_t> payload, BurnOptions options) {
+    SharedBytes payload, BurnOptions options) {
   ROS_CO_RETURN_IF_ERROR(co_await EnsureAwake());
   if (state_ != DriveState::kReady) {
     co_return UnavailableError("drive busy");
   }
-  if (payload.size() > logical_size) {
+  if (BytesOf(payload).size() > logical_size) {
     co_return InvalidArgumentError("payload exceeds logical size");
   }
   // Injected burn failure: the write strategy aborts and the media must
@@ -245,17 +245,16 @@ sim::Task<StatusOr<BurnResult>> OpticalDrive::BurnImage(
   state_ = DriveState::kReady;
   busy_time_ += sim_.now() - start_time;
 
-  // Record the (possibly partial) session on the media.
-  std::vector<std::uint8_t> stored(std::move(payload));
-  if (burned < stored.size()) {
-    stored.resize(burned);
-  }
+  // Record the (possibly partial) session on the media: the burned prefix
+  // of the shared payload, without copying it.
+  const std::uint64_t stored =
+      std::min<std::uint64_t>(BytesOf(payload).size(), burned);
   const bool close_now = !interrupted && options.close_session;
   Status status =
-      resuming ? disc_->ExtendOpenSession(image_id, burned, std::move(stored),
-                                          close_now)
-               : disc_->AppendSession(image_id, burned, std::move(stored),
-                                      close_now);
+      resuming ? disc_->ExtendOpenSession(image_id, burned, std::move(payload),
+                                          close_now, stored)
+               : disc_->AppendSession(image_id, burned, std::move(payload),
+                                      close_now, stored);
   if (!status.ok()) {
     co_return status;
   }

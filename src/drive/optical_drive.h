@@ -115,13 +115,14 @@ class OpticalDrive {
       std::string image_id);
 
   // Burns one disc image as a session. Payload may be sparse (shorter than
-  // `logical_size`); timing uses the logical size. In append mode the first
+  // `logical_size`) and is shared, not copied, with the session that
+  // records it; timing uses the logical size. In append mode the first
   // burn on a blank disc formats the metadata zone first, and the burn can
   // be interrupted between chunks via RequestInterrupt(), leaving an open
   // session that a later BurnImage on the same image resumes.
   sim::Task<StatusOr<BurnResult>> BurnImage(std::string image_id,
                                             std::uint64_t logical_size,
-                                            std::vector<std::uint8_t> payload,
+                                            SharedBytes payload,
                                             BurnOptions options = {});
 
   // Asks an in-flight burn to stop at the next chunk boundary.

@@ -6,7 +6,6 @@
 #include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
-#include "src/udf/serializer.h"
 
 namespace ros::olfs {
 namespace {
@@ -283,9 +282,9 @@ sim::Task<Status> AuditRegistry::OnArrayBurned(
   manifest.leaf_bytes = params_.audit_leaf_bytes;
   for (const std::string& id : member_ids) {
     ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record, images_->Lookup(id));
-    // Recover the exact burned stream from controller memory — the same
-    // bytes BurnOneDisc just wrote to the media.
-    std::vector<std::uint8_t> stream;
+    // Hash the exact burned stream from controller memory — the same
+    // shared bytes BurnOneDisc just wrote to the media.
+    SharedBytes stream;
     if (record->parity) {
       ROS_CO_ASSIGN_OR_RETURN(const ParityImage* parity, parity_->Get(id));
       stream = parity->bytes;
@@ -294,12 +293,12 @@ sim::Task<Status> AuditRegistry::OnArrayBurned(
         co_return FailedPreconditionError(
             "image " + id + " already evicted; cannot hash for audit");
       }
-      stream = udf::Serializer::Serialize(*record->image);
+      ROS_CO_ASSIGN_OR_RETURN(stream, images_->Stream(id));
     }
     AuditMember member;
     member.image_id = id;
-    member.stream_bytes = stream.size();
-    member.leaves = AuditLeafHashes(stream, manifest.leaf_bytes);
+    member.stream_bytes = BytesOf(stream).size();
+    member.leaves = AuditLeafHashes(BytesOf(stream), manifest.leaf_bytes);
     member.root = AuditMerkleRoot(member.leaves);
     manifest.members.push_back(std::move(member));
   }

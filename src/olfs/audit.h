@@ -88,9 +88,9 @@ class AuditRegistry {
       : params_(params), mv_(mv), images_(images), parity_(parity) {}
 
   // Builds and persists the manifest for a just-burned array. Member
-  // streams are recovered from controller memory (cached data images are
-  // re-serialized, parity bytes come from the builder's cache) — the same
-  // bytes the burn just wrote, at zero optical cost. Called by
+  // streams come from controller memory (data images' cached streams,
+  // parity bytes from the builder) — the very bytes the burn just wrote,
+  // shared rather than copied, at zero optical cost. Called by
   // BurnManager::FinishJob; failures there are advisory (logged, never
   // failing the burn).
   sim::Task<Status> OnArrayBurned(mech::TrayAddress tray,

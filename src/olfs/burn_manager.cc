@@ -6,7 +6,6 @@
 #include "src/olfs/audit.h"
 #include "src/sim/join.h"
 #include "src/sim/retry.h"
-#include "src/udf/serializer.h"
 
 namespace ros::olfs {
 
@@ -276,17 +275,17 @@ sim::Task<Status> BurnManager::BurnOneDisc(BurnJob& job, int bay,
   ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
                           images_->Lookup(image_id));
   std::uint64_t logical = record->logical_bytes;
-  std::vector<std::uint8_t> payload;
+  // The disc session shares these bytes; nothing is copied for the burn.
+  SharedBytes payload;
   if (record->parity) {
     auto parity = parity_->Get(image_id);
     if (parity.ok()) {
       payload = (*parity)->bytes;
     }
   } else {
-    ROS_CHECK(record->image != nullptr);
-    payload = udf::Serializer::Serialize(*record->image);
+    ROS_CO_ASSIGN_OR_RETURN(payload, images_->Stream(image_id));
   }
-  logical = std::max<std::uint64_t>(logical, payload.size());
+  logical = std::max<std::uint64_t>(logical, BytesOf(payload).size());
   if (resuming && already_burned >= logical) {
     co_return OkStatus();  // already fully burned before the interrupt
   }
@@ -347,6 +346,10 @@ sim::Task<Status> BurnManager::FinishJob(BurnJob& job) {
       ROS_LOG(kWarning) << "audit manifest for " << job.tray.ToString()
                         << " failed: " << audited.ToString();
     }
+  }
+  // The discs now hold the streams; the records stop holding them.
+  for (const std::string& id : job.image_ids) {
+    ROS_CO_RETURN_IF_ERROR(images_->ReleaseStream(id));
   }
   ROS_CO_RETURN_IF_ERROR(co_await PersistDilIndex());
   ROS_CO_RETURN_IF_ERROR(co_await EvictCacheOverflow());

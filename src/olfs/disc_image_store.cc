@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/udf/serializer.h"
+
 namespace ros::olfs {
 
 Status DiscImageStore::RegisterBucket(std::shared_ptr<udf::Image> image,
@@ -77,6 +79,7 @@ Status DiscImageStore::DropFromBuffer(const std::string& id) {
   }
   record->tier = ImageTier::kBurnedOnly;
   record->image.reset();
+  ResetStream(*record);
   buffered_bytes_ -= record->logical_bytes;
   record->volume_file.clear();
   return OkStatus();
@@ -92,10 +95,49 @@ Status DiscImageStore::RestoreToBuffer(const std::string& id,
   }
   record->tier = ImageTier::kBurnedCached;
   record->image = std::move(image);
+  ResetStream(*record);
   record->volume_index = volume_index;
   record->volume_file = std::move(volume_file);
   buffered_bytes_ += record->logical_bytes;
   return OkStatus();
+}
+
+StatusOr<SharedBytes> DiscImageStore::Stream(const std::string& id) {
+  ROS_ASSIGN_OR_RETURN(ImageRecord* record, LookupMutable(id));
+  if (record->parity || record->image == nullptr ||
+      record->tier == ImageTier::kOpenBucket) {
+    return FailedPreconditionError("image " + id +
+                                   " is not a closed, buffered data image");
+  }
+  if (record->stream != nullptr) {
+    return record->stream;
+  }
+  if (SharedBytes burned = record->burned_stream.lock()) {
+    return burned;
+  }
+  SharedBytes stream =
+      MakeSharedBytes(udf::Serializer::Serialize(*record->image));
+  ++streams_materialized_;
+  if (record->tier == ImageTier::kBuffered) {
+    record->stream = stream;  // held until its array is burned
+  } else {
+    record->burned_stream = stream;
+  }
+  return stream;
+}
+
+Status DiscImageStore::ReleaseStream(const std::string& id) {
+  ROS_ASSIGN_OR_RETURN(ImageRecord* record, LookupMutable(id));
+  if (record->stream != nullptr) {
+    record->burned_stream = record->stream;
+    record->stream.reset();
+  }
+  return OkStatus();
+}
+
+void DiscImageStore::ResetStream(ImageRecord& record) {
+  record.stream.reset();
+  record.burned_stream.reset();
 }
 
 Status DiscImageStore::SetArrayMembers(
@@ -136,6 +178,7 @@ Status DiscImageStore::ReopenForRepair(const std::string& id,
   record->tier = ImageTier::kBuffered;
   record->disc.reset();
   record->image = std::move(image);
+  ResetStream(*record);
   record->volume_index = volume_index;
   record->volume_file = std::move(volume_file);
   record->logical_bytes = record->image->used_bytes();

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/mech/geometry.h"
 #include "src/udf/image.h"
@@ -43,6 +44,14 @@ struct ImageRecord {
   // All images (data then parity) burned in the same disc array; set at
   // burn completion, used by the scrubber's parity recovery (§4.7).
   std::vector<std::string> array_members;
+  // Canonical serialized stream of a closed data image, materialized once
+  // by DiscImageStore::Stream and shared by the parity sweep, the burn,
+  // the audit manifest and the checkpoint (DESIGN.md §5l). Held until the
+  // array's burn finishes; from then on only `burned_stream` refers to it,
+  // and the disc sessions burned from it keep it alive. Both are reset
+  // whenever `image` is replaced or dropped.
+  SharedBytes stream;
+  std::weak_ptr<const std::vector<std::uint8_t>> burned_stream;
 };
 
 class DiscImageStore {
@@ -68,6 +77,21 @@ class DiscImageStore {
   Status RestoreToBuffer(const std::string& id,
                          std::shared_ptr<udf::Image> image,
                          int volume_index, std::string volume_file);
+
+  // The canonical serialized stream of a closed, buffered data image:
+  // serialized on first use, then the same shared bytes for every caller
+  // while the record or a disc holds them. kFailedPrecondition for parity
+  // images, open buckets and images not in the buffer.
+  StatusOr<SharedBytes> Stream(const std::string& id);
+
+  // The array holding `id` is burned and audited: the record stops holding
+  // its stream (the discs do). Later Stream() calls reuse the burned bytes
+  // while a disc still holds them, and otherwise re-serialize without
+  // keeping the result.
+  Status ReleaseStream(const std::string& id);
+
+  // Test hook: how many times Stream() has serialized an image.
+  std::uint64_t streams_materialized() const { return streams_materialized_; }
 
   // Records the disc-array membership for each image of a burned array.
   Status SetArrayMembers(const std::vector<std::string>& members);
@@ -104,9 +128,13 @@ class DiscImageStore {
   Status RestoreRecord(ImageRecord record);
 
  private:
+  // `image` was replaced or dropped: its cached stream no longer applies.
+  static void ResetStream(ImageRecord& record);
+
   std::map<std::string, ImageRecord> records_;
   std::vector<std::string> close_order_;  // FIFO of closed data images
   std::uint64_t buffered_bytes_ = 0;
+  std::uint64_t streams_materialized_ = 0;
 };
 
 }  // namespace ros::olfs

@@ -283,15 +283,24 @@ sim::Task<Status> Maintenance::Checkpoint() {
 
     // Persist the serialized structure of every image whose bytes live
     // only in controller memory + buffer (open buckets included: the
-    // checkpoint closes over their current content).
+    // checkpoint closes over their current content). Closed images reuse
+    // their cached stream; only open buckets are serialized here.
     if (record->image != nullptr && !record->parity) {
+      std::vector<std::uint8_t> stream;
+      if (record->tier == ImageTier::kOpenBucket) {
+        stream = udf::Serializer::Serialize(*record->image);
+      } else {
+        ROS_CO_ASSIGN_OR_RETURN(SharedBytes cached,
+                                olfs_->images().Stream(record->id));
+        stream = *cached;
+      }
       disk::Volume* volume = olfs_->buckets().volume(record->volume_index);
       const std::string name = CheckpointFileName(record->id);
       if (!volume->Exists(name)) {
         ROS_CO_RETURN_IF_ERROR(co_await volume->Create(name));
       }
-      ROS_CO_RETURN_IF_ERROR(co_await volume->WriteAll(
-          name, udf::Serializer::Serialize(*record->image)));
+      ROS_CO_RETURN_IF_ERROR(
+          co_await volume->WriteAll(name, std::move(stream)));
     }
   }
   state["images"] = json::Value(std::move(images));

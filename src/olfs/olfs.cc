@@ -624,7 +624,7 @@ sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::MountParsedImage(
   // caller charges the optical transfer it models.
   ROS_CO_ASSIGN_OR_RETURN(
       std::vector<std::uint8_t> stream,
-      drive->disc()->ReadSession(image_id, 0, session->data.size()));
+      drive->disc()->ReadSession(image_id, 0, session->stored_bytes));
   ROS_CO_ASSIGN_OR_RETURN(udf::Image image, udf::Serializer::Parse(stream));
   auto view = std::make_shared<udf::Image>(std::move(image));
   disc_mounts_.emplace(std::move(image_id), view);

@@ -4,7 +4,6 @@
 
 #include "src/common/gf256.h"
 #include "src/olfs/bucket_manager.h"
-#include "src/udf/serializer.h"
 
 namespace ros::olfs {
 
@@ -15,9 +14,9 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     co_return InvalidArgumentError("no data images");
   }
 
-  // Serialize each member and charge the buffer read of its stripes.
-  std::vector<std::vector<std::uint8_t>> streams;
-  std::vector<std::uint64_t> logical_sizes;
+  // Fetch each member's cached stream and charge the buffer read of its
+  // stripes.
+  std::vector<SharedBytes> streams;
   streams.reserve(data_ids.size());
   std::uint64_t max_logical = 0;
   std::size_t max_stream = 0;
@@ -33,10 +32,10 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
       ROS_CO_RETURN_IF_ERROR(
           co_await volume->ReadDiscard(record->volume_file, 0, *size));
     }
-    streams.push_back(udf::Serializer::Serialize(*record->image));
-    logical_sizes.push_back(record->image->used_bytes());
-    max_logical = std::max(max_logical, logical_sizes.back());
-    max_stream = std::max(max_stream, streams.back().size());
+    ROS_CO_ASSIGN_OR_RETURN(SharedBytes stream, images_->Stream(id));
+    max_logical = std::max(max_logical, record->image->used_bytes());
+    max_stream = std::max(max_stream, stream->size());
+    streams.push_back(std::move(stream));
   }
 
   // Compute all parity images in ONE sweep over the member streams: the
@@ -53,12 +52,12 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
   last_build_stream_passes_ = 0;
   if (num_parities >= 2) {
     for (std::size_t k = streams.size(); k-- > 0;) {
-      gf256::PQAcc(payloads[0], payloads[1], streams[k]);
+      gf256::PQAcc(payloads[0], payloads[1], BytesOf(streams[k]));
       ++last_build_stream_passes_;
     }
   } else {
-    for (const std::vector<std::uint8_t>& stream : streams) {
-      gf256::XorAcc(payloads[0], stream);
+    for (const SharedBytes& stream : streams) {
+      gf256::XorAcc(payloads[0], BytesOf(stream));
       ++last_build_stream_passes_;
     }
   }
@@ -85,10 +84,10 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     // footprint matches the largest member image. The builder keeps the
     // one retained copy (served by Get()); the compute buffer itself is
     // moved into the volume write.
-    parity.bytes = payloads[static_cast<std::size_t>(p)];
+    parity.bytes = MakeSharedBytes(payloads[static_cast<std::size_t>(p)]);
     ROS_CO_RETURN_IF_ERROR(co_await volume->AppendSparse(
         file, std::move(payloads[static_cast<std::size_t>(p)]),
-        std::max<std::uint64_t>(max_logical, parity.bytes.size())));
+        std::max<std::uint64_t>(max_logical, parity.bytes->size())));
     ROS_CO_RETURN_IF_ERROR(images_->RegisterParity(
         parity.id, parity_volume_index % static_cast<int>(data_volumes.size()),
         file, parity.logical_bytes));

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/disk/volume.h"
 #include "src/olfs/disc_image_store.h"
@@ -33,7 +34,7 @@ namespace ros::olfs {
 struct ParityImage {
   std::string id;
   int index = 0;  // 0 = P, 1 = Q
-  std::vector<std::uint8_t> bytes;      // real parity of serialized streams
+  SharedBytes bytes;                    // real parity of serialized streams
   std::uint64_t logical_bytes = 0;      // disc footprint (max data image)
   std::vector<std::string> member_ids;  // the protected data images
 };
@@ -48,11 +49,12 @@ class ParityBuilder {
   // reading every data image from its volume and writing the parity images
   // to `parity_volume`. Registers the results with DIM.
   //
-  // Single-pass: each member stream is serialized once and swept exactly
-  // once by the fused P+Q kernel, no matter how many parity images the
-  // schema asks for. The returned ParityImages carry metadata only (empty
-  // `bytes`); the single retained payload copy lives in the builder and is
-  // served by Get() until the parity disc is burned.
+  // Single-pass: each member's cached stream (DiscImageStore::Stream, the
+  // same bytes the burn and the audit later use) is swept exactly once by
+  // the fused P+Q kernel, no matter how many parity images the schema asks
+  // for. The returned ParityImages carry metadata only (null `bytes`); the
+  // retained payload lives in the builder, is served by Get() and is
+  // shared, not copied, with the parity disc's session.
   sim::Task<StatusOr<std::vector<ParityImage>>> Build(
       std::vector<std::string> data_ids,
       std::vector<disk::Volume*> data_volumes, int parity_volume_index);

@@ -12,21 +12,39 @@ constexpr char kMagic[8] = {'R', 'O', 'S', 'U', 'D', 'F', '0', '1'};
 constexpr char kAnchor[8] = {'R', 'O', 'S', 'U', 'D', 'F', 'E', 'D'};
 constexpr std::uint32_t kVersion = 1;
 
+// Writers append into a buffer Serialize has already reserved to its exact
+// final size, so they never reallocate.
 void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  const std::uint8_t bytes[4] = {
+      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  out.insert(out.end(), bytes, bytes + 4);
 }
 
 void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  PutU32(out, static_cast<std::uint32_t>(v));
+  PutU32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
 void PutStr(std::vector<std::uint8_t>& out, std::string_view s) {
   PutU32(out, static_cast<std::uint32_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
+}
+
+// Serialized size of one node record (see the format in serializer.h).
+std::size_t NodeRecordBytes(const std::string& path, const Node& node) {
+  std::size_t n = 1 + 4 + path.size();
+  switch (node.type) {
+    case NodeType::kFile:
+      n += 8 + 8 + node.data.size();
+      break;
+    case NodeType::kLink:
+      n += 4 + node.link_target_image.size();
+      break;
+    case NodeType::kDirectory:
+      break;
+  }
+  return n;
 }
 
 class Reader {
@@ -108,14 +126,21 @@ class Reader {
 }  // namespace
 
 std::vector<std::uint8_t> Serializer::Serialize(const Image& image) {
+  // One sizing walk, so the stream is built in one exact allocation.
+  std::uint64_t node_count = 0;
+  std::size_t body_bytes = 0;
+  image.Walk([&](const std::string& path, const Node& node) {
+    ++node_count;
+    body_bytes += NodeRecordBytes(path, node);
+  });
   std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  out.reserve(sizeof(kMagic) + 4 + 4 + image.id().size() + 8 + 8 +
+              body_bytes + 4 + sizeof(kAnchor));
+
+  out.assign(kMagic, kMagic + sizeof(kMagic));
   PutU32(out, kVersion);
   PutStr(out, image.id());
   PutU64(out, image.capacity());
-
-  std::uint64_t node_count = 0;
-  image.Walk([&](const std::string&, const Node&) { ++node_count; });
   PutU64(out, node_count);
 
   image.Walk([&](const std::string& path, const Node& node) {

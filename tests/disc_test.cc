@@ -7,8 +7,8 @@
 namespace ros::drive {
 namespace {
 
-std::vector<std::uint8_t> Payload(std::size_t n, std::uint8_t fill) {
-  return std::vector<std::uint8_t>(n, fill);
+SharedBytes Payload(std::size_t n, std::uint8_t fill) {
+  return MakeSharedBytes(std::vector<std::uint8_t>(n, fill));
 }
 
 TEST(Disc, CapacitiesMatchMediaTypes) {
@@ -75,8 +75,8 @@ TEST(Disc, ExtendRejectsWrongImageAndShrink) {
 
 TEST(Disc, ReadSessionRoundTrip) {
   Disc disc("d1", DiscType::kBdr25);
-  std::vector<std::uint8_t> data{1, 2, 3, 4, 5, 6, 7, 8};
-  ASSERT_TRUE(disc.AppendSession("img", kGB, data, true).ok());
+  ASSERT_TRUE(disc.AppendSession(
+      "img", kGB, MakeSharedBytes({1, 2, 3, 4, 5, 6, 7, 8}), true).ok());
   auto read = disc.ReadSession("img", 2, 4);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, (std::vector<std::uint8_t>{3, 4, 5, 6}));
@@ -88,6 +88,48 @@ TEST(Disc, SparseTailReadsAsZeros) {
   auto read = disc.ReadSession("img", 2, 6);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, (std::vector<std::uint8_t>{9, 9, 0, 0, 0, 0}));
+}
+
+TEST(Disc, SessionSharesThePayloadAndStoresAPrefix) {
+  Disc disc("d1", DiscType::kBdr25);
+  const SharedBytes payload = MakeSharedBytes({1, 2, 3, 4, 5, 6, 7, 8});
+  ASSERT_TRUE(disc.AppendSession("img", kGB, payload, /*closed=*/false,
+                                 /*stored_bytes=*/3)
+                  .ok());
+  const Session& session = disc.sessions().back();
+  EXPECT_EQ(session.payload, payload);  // no copy
+  EXPECT_EQ(session.stored_bytes, 3u);
+  auto read = disc.ReadSession("img", 0, 5);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, (std::vector<std::uint8_t>{1, 2, 3, 0, 0}));
+  // Resuming records a longer prefix of the same payload.
+  ASSERT_TRUE(disc.ExtendOpenSession("img", 2 * kGB, payload, true).ok());
+  EXPECT_EQ(disc.sessions().back().stored_bytes, 8u);
+  // A prefix longer than the payload is a caller bug.
+  Disc other("d2", DiscType::kBdr25);
+  EXPECT_EQ(other.AppendSession("img", kGB, payload, true, 9).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Disc, TamperCopiesOnWrite) {
+  const SharedBytes payload = Payload(16, 5);
+  Disc a("a", DiscType::kBdr25);
+  Disc b("b", DiscType::kBdr25);
+  ASSERT_TRUE(a.AppendSession("img", kGB, payload, true).ok());
+  ASSERT_TRUE(b.AppendSession("img", kGB, payload, true).ok());
+  ASSERT_TRUE(a.TamperSessionData("img", 3, 0x01).ok());
+  // The tampered disc reads its own flipped copy...
+  auto tampered = a.ReadSession("img", 0, 16);
+  ASSERT_TRUE(tampered.ok());
+  EXPECT_EQ((*tampered)[3], 4);
+  EXPECT_NE(a.sessions().back().payload, payload);
+  // ...while the shared payload and the other disc are untouched.
+  EXPECT_EQ(*payload, std::vector<std::uint8_t>(16, 5));
+  auto clean = b.ReadSession("img", 0, 16);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(*clean, std::vector<std::uint8_t>(16, 5));
+  EXPECT_EQ(a.TamperSessionData("img", 16, 0x01).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(Disc, ReadBeyondSessionFails) {

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
+
 namespace ros {
 namespace {
 
@@ -28,13 +30,37 @@ TEST(Crc32, DetectsSingleBitFlip) {
 }
 
 TEST(Crc32, SeedChaining) {
-  std::string full = "hello world";
-  std::uint32_t whole = Crc32(Bytes(full));
-  // Chaining partial CRCs must differ from naive restart but be stable.
-  std::uint32_t part1 = Crc32(Bytes("hello "));
-  std::uint32_t chained = Crc32(Bytes("world"), part1);
-  EXPECT_EQ(chained, Crc32(Bytes("world"), Crc32(Bytes("hello "))));
-  (void)whole;
+  // The MV log and segment checksums (src/olfs/mv_log.cc,
+  // src/olfs/mv_segment.cc) chain partial CRCs: Crc32(b, Crc32(a)) must
+  // equal the CRC of a followed by b, at every split point.
+  const std::string full = "hello world, chained across a slice boundary";
+  const std::uint32_t whole = Crc32(Bytes(full));
+  for (std::size_t split = 0; split <= full.size(); ++split) {
+    const std::uint32_t head = Crc32(Bytes(full.substr(0, split)));
+    EXPECT_EQ(Crc32(Bytes(full.substr(split)), head), whole) << split;
+  }
+  EXPECT_EQ(Crc32(Bytes("world"), Crc32(Bytes("hello "))),
+            Crc32(Bytes("hello world")));
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference) {
+  // Every length 0..4096 at every start offset 0..7 (so the 8-byte loop
+  // sees every alignment and every tail length), each from a fresh seed.
+  Rng rng(7);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) {
+    b = static_cast<std::uint8_t>(rng.Next());
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32(data, seed), Crc32Bytewise(data, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+      ASSERT_EQ(Crc32(data), Crc32Bytewise(data))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(Fnv1a64, StableAndSensitive) {

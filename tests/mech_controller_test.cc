@@ -106,7 +106,8 @@ TEST_F(MechControllerTest, LoadInsertsDiscsIntoDrives) {
 TEST_F(MechControllerTest, DiscIdentityStableAcrossLoads) {
   mech::TrayAddress tray{0, 1, 0};
   drive::Disc* disc = mc_->DiscAt({tray, 4});
-  ASSERT_TRUE(disc->AppendSession("img", 100, {1, 2, 3}, true).ok());
+  ASSERT_TRUE(
+      disc->AppendSession("img", 100, MakeSharedBytes({1, 2, 3}), true).ok());
 
   auto bay = sim_.RunUntilComplete(mc_->AcquireBay(std::nullopt, false));
   ASSERT_TRUE(bay.ok());

@@ -26,7 +26,9 @@ std::unique_ptr<Disc> BurnedDisc(const std::string& image,
                                  std::vector<std::uint8_t> data,
                                  std::uint64_t logical) {
   auto disc = BlankDisc(DiscType::kBdr25);
-  ROS_CHECK(disc->AppendSession(image, logical, std::move(data), true).ok());
+  ROS_CHECK(disc->AppendSession(image, logical,
+                                MakeSharedBytes(std::move(data)), true)
+                .ok());
   return disc;
 }
 
@@ -206,7 +208,8 @@ TEST_F(OpticalDriveTest, Burn25GbMatchesFigure8) {
   ASSERT_TRUE(drive.InsertDisc(disc_.get()).ok());
   sim::TimePoint t0 = sim_.now();
   auto result = sim_.RunUntilComplete(
-      drive.BurnImage("img", 25 * kGB, std::vector<std::uint8_t>(64, 1)));
+      drive.BurnImage("img", 25 * kGB,
+                      MakeSharedBytes(std::vector<std::uint8_t>(64, 1))));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->completed);
   EXPECT_EQ(result->bytes_burned, 25 * kGB);
@@ -258,24 +261,28 @@ TEST_F(OpticalDriveTest, InterruptAndResumeAppendBurn) {
   ASSERT_TRUE(drive.InsertDisc(disc_.get()).ok());
 
   // Interrupt roughly mid-burn.
+  const SharedBytes payload =
+      MakeSharedBytes(std::vector<std::uint8_t>(100, 3));
   sim_.ScheduleAfter(Seconds(300), [&] { drive.RequestInterrupt(); });
   auto result = sim_.RunUntilComplete(drive.BurnImage(
-      "img", 20 * kGB, std::vector<std::uint8_t>(100, 3),
-      {.close_session = true, .append_mode = true}));
+      "img", 20 * kGB, payload, {.close_session = true, .append_mode = true}));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->completed);
   EXPECT_GT(result->bytes_burned, 0u);
   EXPECT_LT(result->bytes_burned, 20 * kGB);
   EXPECT_FALSE(drive.disc()->sessions().back().closed);
+  // The open session shares the burn's payload rather than copying it.
+  EXPECT_EQ(drive.disc()->sessions().back().payload, payload);
 
   // Resume: completes the remaining bytes and closes the session.
   auto resumed = sim_.RunUntilComplete(drive.BurnImage(
-      "img", 20 * kGB, std::vector<std::uint8_t>(100, 3),
-      {.close_session = true, .append_mode = true}));
+      "img", 20 * kGB, payload, {.close_session = true, .append_mode = true}));
   ASSERT_TRUE(resumed.ok());
   EXPECT_TRUE(resumed->completed);
   EXPECT_EQ(resumed->bytes_burned, 20 * kGB);
   EXPECT_TRUE(drive.disc()->sessions().back().closed);
+  EXPECT_EQ(drive.disc()->sessions().back().payload, payload);
+  EXPECT_EQ(drive.disc()->sessions().back().stored_bytes, 100u);
   // The metadata zone reserved by append mode consumed capacity.
   EXPECT_EQ(drive.disc()->burned_bytes(), 20 * kGB + kMetadataZoneBytes);
 }

@@ -69,7 +69,7 @@ TEST_F(ParityTest, BuildProducesXorOfSerializedStreams) {
   EXPECT_EQ(p.member_ids, ids);
   // Build returns metadata; the single retained payload lives in the
   // builder and is served by Get().
-  EXPECT_TRUE(p.bytes.empty());
+  EXPECT_EQ(p.bytes, nullptr);
   auto retained = builder_->Get(p.id);
   ASSERT_TRUE(retained.ok());
 
@@ -85,7 +85,7 @@ TEST_F(ParityTest, BuildProducesXorOfSerializedStreams) {
   for (const auto& stream : streams) {
     gf256::XorAcc(expected, stream);
   }
-  EXPECT_EQ((*retained)->bytes, expected);
+  EXPECT_EQ(*(*retained)->bytes, expected);
 
   // The parity image is registered with DIM on the requested volume.
   auto record = images_.Lookup(p.id);
@@ -111,7 +111,7 @@ TEST_F(ParityTest, Raid6BuildsPAndQ) {
   auto q = builder_->Get((*parities)[1].id);
   ASSERT_TRUE(p.ok());
   ASSERT_TRUE(q.ok());
-  EXPECT_NE((*p)->bytes, (*q)->bytes);
+  EXPECT_NE(*(*p)->bytes, *(*q)->bytes);
 
   // Q must be the classic sum of g^k * d_k even though it was produced by
   // the fused Horner sweep.
@@ -129,8 +129,8 @@ TEST_F(ParityTest, Raid6BuildsPAndQ) {
     gf256::MulAccScalar(expected_q, gf256::Pow2(static_cast<unsigned>(k)),
                         streams[k]);
   }
-  EXPECT_EQ((*p)->bytes, expected_p);
-  EXPECT_EQ((*q)->bytes, expected_q);
+  EXPECT_EQ(*(*p)->bytes, expected_p);
+  EXPECT_EQ(*(*q)->bytes, expected_q);
 }
 
 TEST_F(ParityTest, BuildSweepsEachMemberOnceEvenForPQ) {
@@ -175,8 +175,8 @@ TEST_F(ParityTest, Raid6DoubleLossRoundTripThroughFusedPath) {
       std::vector<std::uint8_t> orig_b = survivors[b];
       survivors[a].clear();
       survivors[b].clear();
-      auto recovered = ParityBuilder::RecoverTwo(survivors, (*p)->bytes,
-                                                 (*q)->bytes, a, b);
+      auto recovered = ParityBuilder::RecoverTwo(survivors, *(*p)->bytes,
+                                                 *(*q)->bytes, a, b);
       ASSERT_TRUE(recovered.ok()) << a << "," << b;
       EXPECT_TRUE(std::equal(orig_a.begin(), orig_a.end(),
                              recovered->first.begin()));
@@ -218,7 +218,7 @@ TEST_F(ParityTest, RecoverOneFromQAloneWhenPIsUnreadable) {
     auto original = std::move(survivors[missing]);
     survivors[missing].clear();
     auto recovered =
-        ParityBuilder::RecoverOneFromQ(survivors, (*q)->bytes, missing);
+        ParityBuilder::RecoverOneFromQ(survivors, *(*q)->bytes, missing);
     ASSERT_TRUE(recovered.ok()) << "missing " << missing;
     ASSERT_GE(recovered->size(), original.size());
     EXPECT_TRUE(std::equal(original.begin(), original.end(),
@@ -231,10 +231,10 @@ TEST_F(ParityTest, RecoverOneFromQAloneWhenPIsUnreadable) {
   auto survivors = streams;
   survivors[0].clear();
   EXPECT_FALSE(
-      ParityBuilder::RecoverOneFromQ(survivors, (*q)->bytes, 1).ok());
+      ParityBuilder::RecoverOneFromQ(survivors, *(*q)->bytes, 1).ok());
   survivors[1].clear();
   EXPECT_FALSE(
-      ParityBuilder::RecoverOneFromQ(survivors, (*q)->bytes, 0).ok());
+      ParityBuilder::RecoverOneFromQ(survivors, *(*q)->bytes, 0).ok());
 }
 
 TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
@@ -259,7 +259,7 @@ TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
     auto original = std::move(survivors[missing]);
     survivors[missing].clear();
     auto recovered = ParityBuilder::Recover(
-        survivors, {(*p_image)->bytes}, missing);
+        survivors, {*(*p_image)->bytes}, missing);
     ASSERT_TRUE(recovered.ok()) << "missing " << missing;
     // Zero-padded to the parity length; the prefix is the original.
     ASSERT_GE(recovered->size(), original.size());

@@ -23,6 +23,10 @@ using sim::Seconds;
 
 constexpr std::int64_t kYearNs = 365LL * 24 * 3600 * 1000000000LL;
 
+SharedBytes Filled(std::size_t n, std::uint8_t value) {
+  return MakeSharedBytes(std::vector<std::uint8_t>(n, value));
+}
+
 std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::uint8_t> out(n);
@@ -51,7 +55,7 @@ TEST(MediaAging, SameSeedSameDiscSameDamage) {
   auto run = [&aging]() {
     drive::Disc disc("d0", drive::DiscType::kBdr25, 16 * kMiB);
     ROS_CHECK(disc.AppendSession("img", 8 * kMiB,
-                                 std::vector<std::uint8_t>(8 * kMiB, 0xAB),
+                                 Filled(8 * kMiB, 0xAB),
                                  /*closed=*/true)
                   .ok());
     disc.StampBirth(0);
@@ -71,7 +75,7 @@ TEST(MediaAging, DamageIsObservationIndependent) {
   auto make = []() {
     drive::Disc disc("d1", drive::DiscType::kBdr25, 16 * kMiB);
     ROS_CHECK(disc.AppendSession("img", 8 * kMiB,
-                                 std::vector<std::uint8_t>(8 * kMiB, 0xCD),
+                                 Filled(8 * kMiB, 0xCD),
                                  /*closed=*/true)
                   .ok());
     disc.StampBirth(0);
@@ -91,7 +95,7 @@ TEST(MediaAging, DisabledModelNeverTouchesTheDisc) {
   drive::MediaAgingParams off;  // enabled = false
   drive::Disc disc("d2", drive::DiscType::kBdr25, 16 * kMiB);
   ROS_CHECK(disc.AppendSession("img", 4 * kMiB,
-                               std::vector<std::uint8_t>(4 * kMiB, 1),
+                               Filled(4 * kMiB, 1),
                                /*closed=*/true)
                 .ok());
   disc.StampBirth(0);
@@ -111,7 +115,7 @@ TEST(MediaAging, DenserGenerationAgesSlower) {
   auto damage = [&aging](drive::DiscType type) {
     drive::Disc disc("gen", type, 16 * kMiB);
     ROS_CHECK(disc.AppendSession("img", 8 * kMiB,
-                                 std::vector<std::uint8_t>(8 * kMiB, 7),
+                                 Filled(8 * kMiB, 7),
                                  /*closed=*/true)
                   .ok());
     disc.StampBirth(0);

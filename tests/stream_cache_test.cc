@@ -1,0 +1,153 @@
+// The closed-image stream cache (DESIGN.md §5l): every closed data image
+// is serialized once, and the parity sweep, the burn, the audit manifest
+// and the checkpoint all use those same bytes; the disc sessions share
+// them, and tampering with one disc copies on write.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/common/units.h"
+#include "src/olfs/maintenance.h"
+#include "src/olfs/olfs.h"
+#include "src/sim/fault.h"
+#include "src/sim/time.h"
+#include "src/udf/serializer.h"
+
+namespace ros::olfs {
+namespace {
+
+class StreamCacheTest : public ::testing::Test {
+ protected:
+  StreamCacheTest() {
+    system_ = std::make_unique<RosSystem>(sim_, TestSystemConfig());
+    OlfsParams params;
+    params.disc_type = drive::DiscType::kBdr25;
+    params.disc_capacity_override = 16 * kMiB;
+    olfs_ = std::make_unique<Olfs>(sim_, system_.get(), params);
+    olfs_->burns().burn_start_interval = sim::Seconds(1);
+  }
+
+  ~StreamCacheTest() override { sim_.Shutdown(); }
+
+  // Writes enough files to close several buckets, then burns them all as
+  // one array (parity, burn and audit manifest).
+  void IngestAndBurn() {
+    for (int i = 0; i < 6; ++i) {
+      std::vector<std::uint8_t> data(32 * kKiB);
+      Rng rng(static_cast<std::uint64_t>(i) + 1);
+      for (auto& b : data) {
+        b = static_cast<std::uint8_t>(rng.Next());
+      }
+      ASSERT_TRUE(sim_.RunUntilComplete(
+                          olfs_->Create("/s/f" + std::to_string(i), data,
+                                        5 * kMiB))
+                      .ok());
+    }
+    ASSERT_TRUE(sim_.RunUntilComplete(olfs_->FlushAndDrain()).ok())
+        << olfs_->burns().fatal_error().ToString();
+    ASSERT_EQ(olfs_->burns().arrays_burned(), 1);
+  }
+
+  std::vector<const ImageRecord*> DataImages() {
+    std::vector<const ImageRecord*> out;
+    for (const ImageRecord* record : olfs_->images().AllRecords()) {
+      if (!record->parity) {
+        out.push_back(record);
+      }
+    }
+    return out;
+  }
+
+  const drive::Session& SessionOf(const ImageRecord& record) {
+    drive::Disc* disc = olfs_->mech().DiscAt(*record.disc);
+    auto session = disc->FindSession(record.id);
+    ROS_CHECK(session.ok());
+    return **session;
+  }
+
+  // Every burned data image: the record no longer holds its stream, and
+  // the bytes it released are the very buffer its disc session holds.
+  void ExpectDiscsShareTheStreams() {
+    for (const ImageRecord* record : DataImages()) {
+      ASSERT_TRUE(record->disc.has_value()) << record->id;
+      EXPECT_EQ(record->stream, nullptr) << record->id;
+      const drive::Session& session = SessionOf(*record);
+      EXPECT_EQ(record->burned_stream.lock(), session.payload) << record->id;
+      EXPECT_EQ(session.stored_bytes, session.payload->size()) << record->id;
+    }
+  }
+
+  sim::Simulator sim_;
+  std::unique_ptr<RosSystem> system_;
+  std::unique_ptr<Olfs> olfs_;
+};
+
+TEST_F(StreamCacheTest, EachClosedImageIsSerializedOnce) {
+  IngestAndBurn();
+  const std::vector<const ImageRecord*> data = DataImages();
+  ASSERT_GE(data.size(), 2u);
+  EXPECT_GT(olfs_->audit().roots_built(), 0u);
+  // Parity, burn and audit shared one materialization per image...
+  EXPECT_EQ(olfs_->images().streams_materialized(), data.size());
+  ExpectDiscsShareTheStreams();
+
+  // ...and so does a checkpoint of the still-cached burned images.
+  Maintenance maintenance(olfs_.get());
+  ASSERT_TRUE(sim_.RunUntilComplete(maintenance.Checkpoint()).ok());
+  EXPECT_EQ(olfs_->images().streams_materialized(), data.size());
+
+  // The checkpoint copies are the canonical streams.
+  for (const ImageRecord* record : data) {
+    auto cached = olfs_->images().Stream(record->id);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(**cached, udf::Serializer::Serialize(*record->image));
+  }
+}
+
+TEST_F(StreamCacheTest, ReburnOntoSpareMediaReusesTheStream) {
+  sim::FaultInjector faults(/*seed=*/5);
+  faults.FailNth(sim::FaultKind::kBurnFailure, /*site=*/"", /*nth=*/1);
+  system_->InstallFaultInjector(&faults);
+
+  IngestAndBurn();
+  EXPECT_EQ(faults.injected(sim::FaultKind::kBurnFailure), 1u);
+  EXPECT_EQ(olfs_->burns().arrays_reallocated(), 1);
+  EXPECT_EQ(olfs_->images().streams_materialized(), DataImages().size());
+  ExpectDiscsShareTheStreams();
+}
+
+TEST_F(StreamCacheTest, TamperCopiesOnWrite) {
+  IngestAndBurn();
+  const ImageRecord* victim = DataImages().front();
+  auto held = olfs_->images().Stream(victim->id);
+  ASSERT_TRUE(held.ok());
+  const SharedBytes stream = *held;
+  const std::vector<std::uint8_t> before = *stream;
+
+  // A second disc holding the same payload, as after a re-burn.
+  drive::Disc other("other", drive::DiscType::kBdr25);
+  ASSERT_TRUE(other.AppendSession(victim->id, 16 * kMiB, stream, true).ok());
+
+  drive::Disc* disc = olfs_->mech().DiscAt(*victim->disc);
+  ASSERT_TRUE(disc->TamperSessionData(victim->id, 100, 0x40).ok());
+
+  // The tampered disc reads the flip from its own copy...
+  const drive::Session& session = SessionOf(*victim);
+  EXPECT_NE(session.payload, stream);
+  EXPECT_EQ(session.data()[100], before[100] ^ 0x40);
+  // ...while the record's stream and the other disc keep the original.
+  EXPECT_EQ(*stream, before);
+  auto again = olfs_->images().Stream(victim->id);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, stream);
+  auto other_bytes = other.ReadSession(victim->id, 0, before.size());
+  ASSERT_TRUE(other_bytes.ok());
+  EXPECT_EQ(*other_bytes, before);
+  EXPECT_EQ(olfs_->images().streams_materialized(), DataImages().size());
+}
+
+}  // namespace
+}  // namespace ros::olfs
