@@ -40,6 +40,7 @@
 #include "src/disk/volume.h"
 #include "src/olfs/index_file.h"
 #include "src/olfs/metadata_volume.h"
+#include "src/olfs/mv_file_store.h"
 #include "src/sim/join.h"
 #include "src/sim/simulator.h"
 
@@ -77,11 +78,6 @@ std::uint64_t CurrentRssBytes() {
 // be re-attached (destroyed and rebuilt over the same volume) to measure
 // crash recovery.
 struct Fixture {
-  Fixture(std::uint64_t capacity, std::size_t cache_capacity)
-      : device(sim, "ssd", capacity, disk::SsdPerf()),
-        volume(sim, &device, disk::MetadataVolumeParams()),
-        mv(std::make_unique<olfs::MetadataVolume>(&volume, cache_capacity)) {
-  }
   Fixture(std::uint64_t capacity, olfs::MetadataVolume::Options options)
       : device(sim, "ssd", capacity, disk::SsdPerf()),
         volume(sim, &device, disk::MetadataVolumeParams()),
@@ -236,7 +232,7 @@ sim::Task<std::string> ApplyOp(olfs::MetadataVolume* mv, int op,
     outcome = "rm:";
     outcome += StatusCodeName(status.code());
   } else {  // Raw volume write behind the MV's back (may be garbage).
-    const std::string name = olfs::MetadataVolume::IndexName(path);
+    const std::string name = olfs::FileMvStore::IndexName(path);
     if (!mv->volume()->Exists(name)) {
       outcome = "raw:absent";
     } else {

@@ -57,31 +57,6 @@ bool Volume::AnyWithPrefix(const std::string& prefix) const {
   return it != files_.end() && NameHasPrefix(it->first, prefix);
 }
 
-std::vector<std::string> Volume::ListChildren(const std::string& prefix,
-                                              char delimiter) const {
-  std::vector<std::string> children;
-  auto it = files_.lower_bound(prefix);
-  while (it != files_.end() && NameHasPrefix(it->first, prefix)) {
-    const std::string_view rest =
-        std::string_view(it->first).substr(prefix.size());
-    const std::size_t cut = rest.find(delimiter);
-    if (cut == std::string_view::npos) {
-      if (!rest.empty()) {
-        children.emplace_back(rest);
-      }
-      ++it;
-      continue;
-    }
-    // A descendant below `prefix + head + delimiter`: seek past the whole
-    // subtree in one lower_bound instead of filtering every entry in it.
-    std::string skip = prefix;
-    skip.append(rest.substr(0, cut));
-    skip.push_back(static_cast<char>(delimiter + 1));
-    it = files_.lower_bound(skip);
-  }
-  return children;
-}
-
 Status Volume::Allocate(std::uint64_t blocks, std::vector<Extent>* out) {
   std::uint64_t remaining = blocks;
   // First-fit across the free list; splits large extents.

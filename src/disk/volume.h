@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -83,6 +84,18 @@ class Volume {
   // True when at least one name has `prefix` (O(log n)).
   bool AnyWithPrefix(const std::string& prefix) const;
 
+  // The first name with `prefix` that sorts at or after `from`, or
+  // nullopt. A cursor for walks that cannot hold an iterator, e.g. across
+  // a suspension; `name + '\0'` steps past `name`.
+  std::optional<std::string> FirstWithPrefix(const std::string& prefix,
+                                             const std::string& from) const {
+    auto it = files_.lower_bound(from < prefix ? prefix : from);
+    if (it == files_.end() || !NameHasPrefix(it->first, prefix)) {
+      return std::nullopt;
+    }
+    return it->first;
+  }
+
   // Calls fn(name, size) for every file whose name starts with `prefix`,
   // in lexicographic order, without building a vector of names. `fn` must
   // not mutate the volume.
@@ -93,14 +106,6 @@ class Volume {
       fn(it->first, it->second.size);
     }
   }
-
-  // Distinct next path segments after `prefix` (S3-style delimiter
-  // listing), in lexicographic order. A name `prefix + "x"` with no
-  // delimiter in "x" yields "x"; names under `prefix + "x" + delimiter`
-  // are skipped as a whole subtree with one seek rather than being
-  // visited and filtered one by one.
-  std::vector<std::string> ListChildren(const std::string& prefix,
-                                        char delimiter = '/') const;
 
   // Creates an empty file (one inode + a journaled metadata write).
   sim::Task<Status> Create(std::string name);

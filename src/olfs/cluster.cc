@@ -27,7 +27,8 @@ Cluster::Cluster(sim::Simulator& sim, ClusterParams params)
                                         mv_ssds_[1].get()});
   mv_volume_ = std::make_unique<disk::Volume>(
       sim, mv_raid_.get(), disk::MetadataVolumeParams());
-  mv_ = std::make_unique<MetadataVolume>(mv_volume_.get());
+  mv_ = std::make_unique<MetadataVolume>(sim, mv_volume_.get(),
+                                         MetadataVolume::Options{});
 
   for (int i = 0; i < params_.racks; ++i) {
     auto node = std::make_unique<RackNode>();

@@ -1,538 +1,163 @@
 #include "src/olfs/metadata_volume.h"
 
-#include <algorithm>
-#include <span>
 #include <utility>
 
-#include "src/common/hash.h"
-#include "src/sim/join.h"
+#include "src/olfs/mv_file_store.h"
+#include "src/olfs/mv_log_store.h"
 
 namespace ros::olfs {
 
-namespace {
+// --- decoded-index cache -----------------------------------------------
 
-// Keys in the "i" domain (namespace indexes) count toward index_count();
-// "s" keys (running state) do not. Replay sees keys from disk, so guard
-// against empty/hostile ones.
-bool IsIndexKey(const std::string& key) {
-  return !key.empty() && key[0] == 'i';
+const MvDecodeCache::Entry* MvDecodeCache::Lookup(std::string_view path) {
+  if (capacity_ == 0) {
+    return nullptr;
+  }
+  auto it = map_.find(path);
+  if (it == map_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++stats_.hits;
+  return &lru_.front();
 }
 
-// Background work that wakes to find the store reset (WipeAll) or
-// destroyed bails with this; it is recorded, never surfaced to callers.
-Status AbortedErrorForReset() {
-  return UnavailableError("mv: store reset during background work");
+void MvDecodeCache::Insert(const std::string& path, IndexPtr index,
+                           MvPlacement placement) {
+  if (capacity_ == 0) {
+    return;
+  }
+  auto it = map_.find(std::string_view(path));
+  if (it != map_.end()) {
+    it->second->index = std::move(index);
+    it->second->placement = std::move(placement);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
+  lru_.push_front(Entry{path, std::move(index), std::move(placement)});
+  map_.emplace(lru_.front().path, lru_.begin());
+  if (map_.size() > capacity_) {
+    map_.erase(std::string_view(lru_.back().path));
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
 }
 
-}  // namespace
+void MvDecodeCache::Erase(std::string_view path) {
+  auto it = map_.find(path);
+  if (it == map_.end()) {
+    return;
+  }
+  lru_.erase(it->second);
+  map_.erase(it);
+}
+
+void MvDecodeCache::EraseSource(std::uint64_t source) {
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->placement.source == source) {
+      map_.erase(std::string_view(it->path));
+      it = lru_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void MvDecodeCache::Clear() {
+  lru_.clear();
+  map_.clear();
+}
 
 // --- construction / destruction ---------------------------------------
 
 MetadataVolume::MetadataVolume(sim::Simulator& sim, disk::Volume* volume,
                                Options options)
-    : volume_(volume), cache_capacity_(options.cache_capacity), sim_(&sim),
-      options_(options) {
-  legacy_index_count_ = volume_->CountPrefix("/idx/");
+    : volume_(volume), cache_(options.cache_capacity) {
+  if (options.log_structured) {
+    store_ = std::make_unique<LogMvStore>(
+        sim, volume, &cache_, options.memtable_flush_bytes,
+        options.compact_min_segments, options.compact_fan_in);
+  } else {
+    store_ = std::make_unique<FileMvStore>(volume, &cache_);
+  }
   volume_->SetMutationObserver(
       [this](const std::string& name, disk::Volume::MutationKind kind) {
         OnVolumeMutation(name, kind);
       });
-  if (options_.log_structured) {
-    log_ = std::make_unique<MvLog>(sim, volume,
-                                   MvLog::Options{options_.commit_window});
-    alive_ = std::make_shared<bool>(true);
-    open_done_ = std::make_unique<sim::Event>(sim);
-    pin_cv_ = std::make_unique<sim::ConditionVariable>(sim);
-    // A volume carrying a prior incarnation's log starts closed; the first
-    // operation (or an explicit Open) replays it.
-    opened_ = !volume_->AnyWithPrefix(std::string(MvLog::kFilePrefix)) &&
-              !volume_->AnyWithPrefix(std::string(mvseg::kFilePrefix));
+}
+
+MetadataVolume::~MetadataVolume() { volume_->SetMutationObserver(nullptr); }
+
+void MetadataVolume::OnVolumeMutation(const std::string& name,
+                                      disk::Volume::MutationKind kind) {
+  store_->OnVolumeMutation(name, kind);
+  if (kind == disk::Volume::MutationKind::kFormatted) {
+    cache_.Clear();  // everything changed
   }
 }
 
-MetadataVolume::~MetadataVolume() {
-  volume_->SetMutationObserver(nullptr);
-  if (alive_ != nullptr) {
-    // Detached flush/compaction frames that resume later see this and
-    // return without touching the dead store.
-    *alive_ = false;
-  }
-}
-
-// --- open / recovery ---------------------------------------------------
-
-sim::Task<Status> MetadataVolume::Open() { co_return co_await EnsureOpen(); }
-
-sim::Task<Status> MetadataVolume::EnsureOpen() const {
-  if (!ls() || opened_) {
-    co_return OkStatus();
-  }
-  while (!opened_) {
-    if (opening_) {
-      co_await open_done_->Wait();
-      continue;  // re-check; retry recovery ourselves if it failed
-    }
-    opening_ = true;
-    Status status = co_await RecoverLs();
-    opening_ = false;
-    open_done_->Pulse();
-    if (!status.ok()) {
-      co_return status;
-    }
-  }
-  co_return OkStatus();
-}
-
-sim::Task<Status> MetadataVolume::RecoverLs() const {
-  // Restartable: a failed attempt leaves partial replay state behind, so
-  // every attempt begins from scratch.
-  ResetLsState();
-
-  // Segments first, in file-name order — "/mvseg.<rank>.<id>" sorts as
-  // (rank, id), oldest data first, so newer records shadow older ones as
-  // they apply. A damaged segment keeps its cleanly decoded prefix
-  // (strictly better than dropping the file) and is counted.
-  const std::vector<std::string> seg_names =
-      volume_->List(std::string(mvseg::kFilePrefix));
-  for (std::size_t i = 0; i < seg_names.size(); ++i) {
-    const std::string name = seg_names[i];
-    const auto parsed_name = mvseg::ParseSegmentFileName(name);
-    if (!parsed_name.has_value()) {
-      ++counters_.corrupt_segments;
-      continue;
-    }
-    auto data = co_await volume_->ReadAll(name);
-    if (!data.ok()) {
-      co_return data.status();  // device-level failure, not media rot
-    }
-    SegmentPtr info = std::make_shared<SegmentInfo>();
-    info->rank = parsed_name->rank;
-    info->id = parsed_name->id;
-    info->file = name;
-    info->bytes = data->size();
-    segments_.push_back(info);
-    segs_by_id_.emplace(info->id, info);
-    Status parsed = mvseg::ParseSegment(
-        std::span<const std::uint8_t>(data->data(), data->size()), nullptr,
-        [this, &info](mvlog::Record record, std::uint64_t offset,
-                      std::uint32_t length) {
-          ++info->records_total;
-          auto kit = keydir_.find(record.key);
-          if (record.type == mvlog::RecordType::kRemove) {
-            if (kit != keydir_.end()) {
-              DecLiveRef(kit->second);
-              if (IsIndexKey(record.key)) {
-                --live_index_count_;
-              }
-              keydir_.erase(kit);
-            }
-            return;
-          }
-          if (kit == keydir_.end()) {
-            keydir_.emplace(record.key, KeyRef{info->id, offset, length});
-            if (IsIndexKey(record.key)) {
-              ++live_index_count_;
-            }
-          } else {
-            DecLiveRef(kit->second);
-            kit->second = KeyRef{info->id, offset, length};
-          }
-          ++info->records_live;
-        });
-    if (!parsed.ok()) {
-      ++counters_.corrupt_segments;
-    }
-    ++counters_.recovered_segments;
-    next_rank_ = std::max(next_rank_, parsed_name->rank + 1);
-    next_seg_id_ = std::max(next_seg_id_, parsed_name->id + 1);
-  }
-
-  // Then the WAL tail, oldest file first (names sort by sequence). The
-  // first torn frame ends replay: group commit appends strictly FIFO, so
-  // nothing beyond that point can be acked data. The torn tail is
-  // truncated away and any later files are dropped.
-  const std::vector<std::string> wal_names =
-      volume_->List(std::string(MvLog::kFilePrefix));
-  std::uint64_t max_seq = 0;
-  std::uint64_t min_live_seq = 0;
-  bool torn = false;
-  for (std::size_t i = 0; i < wal_names.size(); ++i) {
-    const std::string name = wal_names[i];
-    const auto seq = MvLog::SeqOfFileName(name);
-    if (!seq.has_value()) {
-      continue;  // not a WAL file of ours
-    }
-    if (torn) {
-      ROS_CO_RETURN_IF_ERROR(co_await volume_->Delete(name));
-      continue;
-    }
-    max_seq = std::max(max_seq, *seq);
-    if (min_live_seq == 0) {
-      min_live_seq = *seq;
-    }
-    auto data = co_await volume_->ReadAll(name);
-    if (!data.ok()) {
-      co_return data.status();
-    }
-    const mvlog::ScanStats scan = mvlog::ScanRecords(
-        std::span<const std::uint8_t>(data->data(), data->size()),
-        [this](mvlog::Record record) {
-          MemtableApply(record.key, std::move(record.value),
-                        record.type == mvlog::RecordType::kRemove);
-        });
-    counters_.replayed_wal_records += scan.records;
-    if (scan.torn) {
-      torn = true;
-      counters_.torn_tail_bytes += data->size() - scan.valid_bytes;
-      ROS_CO_RETURN_IF_ERROR(co_await volume_->Truncate(name, scan.valid_bytes));
-    }
-  }
-
-  // New appends continue in the newest surviving file; min_seq reaches
-  // back to the oldest so the next flush's DeleteBelow reclaims them all.
-  const std::uint64_t seq = max_seq > 0 ? max_seq : 1;
-  log_->Reset(seq, min_live_seq > 0 ? min_live_seq : seq);
-  opened_ = true;
-  co_return OkStatus();
-}
-
-void MetadataVolume::ResetLsState() const {
-  for (std::size_t i = 0; i < kMemtableShards; ++i) {
-    active_[i].clear();
-    imm_[i].clear();
-  }
-  imm_valid_ = false;
-  memtable_bytes_ = 0;
-  imm_bytes_ = 0;
-  keydir_.clear();
-  segments_.clear();
-  segs_by_id_.clear();
-  live_index_count_ = 0;
-  next_rank_ = 1;
-  next_seg_id_ = 1;
-}
-
-void MetadataVolume::WipeAll() {
-  CacheClear();
-  if (ls()) {
-    ++epoch_;  // in-flight background work aborts at its next check
-    ResetLsState();
-    log_->Reset(1, 1);
-    opened_ = true;
-    opening_ = false;
-    open_done_->Pulse();
-  }
-  volume_->FormatQuick();
-}
-
-// --- memtable / keydir internals --------------------------------------
-
-std::size_t MetadataVolume::ShardOf(std::string_view key) const {
-  return static_cast<std::size_t>(
-             Fnv1a64({reinterpret_cast<const std::uint8_t*>(key.data()),
-                      key.size()})) %
-         kMemtableShards;
-}
-
-const MetadataVolume::MemEntry* MetadataVolume::FindMem(
-    const std::string& key) const {
-  const std::size_t shard = ShardOf(key);
-  auto it = active_[shard].find(key);
-  if (it != active_[shard].end()) {
-    return &it->second;
-  }
-  if (imm_valid_) {
-    it = imm_[shard].find(key);
-    if (it != imm_[shard].end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-void MetadataVolume::DecLiveRef(const KeyRef& ref) const {
-  if (ref.seg_id == 0) {
-    return;
-  }
-  auto it = segs_by_id_.find(ref.seg_id);
-  if (it != segs_by_id_.end() && it->second->records_live > 0) {
-    --it->second->records_live;
-  }
-}
-
-void MetadataVolume::MemtableApply(const std::string& key, std::string value,
-                                   bool tombstone) const {
-  // The key's cached decode (if any) describes the value being replaced.
-  if (IsIndexKey(key)) {
-    CacheErase(std::string_view(key).substr(1));
-  }
-  Shard& shard = active_[ShardOf(key)];
-  auto [it, inserted] = shard.try_emplace(key);
-  if (!inserted) {
-    memtable_bytes_ -= EntryBytes(key, it->second);
-  }
-  it->second.value = std::move(value);
-  it->second.tombstone = tombstone;
-  memtable_bytes_ += EntryBytes(key, it->second);
-
-  auto kit = keydir_.find(key);
-  if (tombstone) {
-    if (kit != keydir_.end()) {
-      DecLiveRef(kit->second);
-      if (IsIndexKey(key)) {
-        --live_index_count_;
-      }
-      keydir_.erase(kit);
-    }
-  } else if (kit == keydir_.end()) {
-    keydir_.emplace(key, KeyRef{});
-    if (IsIndexKey(key)) {
-      ++live_index_count_;
-    }
-  } else {
-    DecLiveRef(kit->second);
-    kit->second = KeyRef{};
-  }
-}
-
-// --- point reads -------------------------------------------------------
-
-sim::Task<StatusOr<std::string>> MetadataVolume::ReadValueLs(
-    std::string key) const {
-  const MemEntry* mem = FindMem(key);
-  if (mem != nullptr) {
-    if (mem->tombstone) {
-      co_return NotFoundError("mv: no entry " + key);
-    }
-    co_return mem->value;
-  }
-  auto it = keydir_.find(key);
-  if (it == keydir_.end()) {
-    co_return NotFoundError("mv: no entry " + key);
-  }
-  const KeyRef ref = it->second;
-  ROS_CHECK(ref.seg_id != 0);  // memtable-tier keys are in the shards
-  auto sit = segs_by_id_.find(ref.seg_id);
-  ROS_CHECK(sit != segs_by_id_.end());
-  SegmentPtr seg = sit->second;
-  // Pin: the compactor retires a segment's file only once no point read
-  // has it in flight.
-  ++seg->pins;
-  auto data = co_await volume_->Read(seg->file, ref.offset, ref.length);
-  --seg->pins;
-  if (seg->pins == 0 && pin_cv_ != nullptr) {
-    pin_cv_->NotifyAll();
-  }
-  if (!data.ok()) {
-    co_return data.status();
-  }
-  std::size_t frame = 0;
-  auto record = mvlog::DecodeRecord(
-      std::span<const std::uint8_t>(data->data(), data->size()), &frame);
-  if (!record.ok()) {
-    co_return record.status();  // bit rot: the record CRC caught it
-  }
-  co_return std::move(record->value);
-}
-
-sim::Task<StatusOr<MetadataVolume::IndexPtr>> MetadataVolume::GetRefLs(
-    std::string path) const {
-  ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-  if (cache_capacity_ != 0) {
-    auto it = cache_map_.find(std::string_view(path));
-    if (it != cache_map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++cache_stats_.hits;
-      const CacheEntry& hit = lru_.front();
-      IndexPtr shared = hit.index;
-      // Memtable-resident entries charge nothing (the miss below would be
-      // a RAM lookup); segment-backed ones replay the record's device
-      // ranges — exactly what the miss would pay — so the cache never
-      // shifts simulated timing.
-      if (hit.segments.size() == 1) {
-        const auto [dev_offset, n] = hit.segments.front();
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegment(dev_offset, n));
-      } else if (!hit.segments.empty()) {
-        disk::Volume::ByteSegments segments = hit.segments;
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegments(std::move(segments)));
-      }
-      co_return std::move(shared);
-    }
-    ++cache_stats_.misses;
-  }
-  const std::string key = IndexKey(path);
-  const MemEntry* mem = FindMem(key);
-  if (mem != nullptr) {
-    if (mem->tombstone) {
-      co_return NotFoundError("no file " + IndexName(path));
-    }
-    auto decoded = IndexFile::FromJson(mem->value);
-    if (!decoded.ok()) {
-      co_return decoded.status();
-    }
-    auto shared = std::make_shared<const IndexFile>(std::move(*decoded));
-    CacheInsert(path, shared, {});
-    co_return std::move(shared);
-  }
-  auto ref_it = keydir_.find(key);
-  if (ref_it == keydir_.end()) {
-    co_return NotFoundError("no file " + IndexName(path));
-  }
-  const KeyRef ref = ref_it->second;
-  auto sit = segs_by_id_.find(ref.seg_id);
-  ROS_CHECK(sit != segs_by_id_.end());
-  SegmentPtr seg = sit->second;
-  ++seg->pins;
-  auto data = co_await volume_->Read(seg->file, ref.offset, ref.length);
-  --seg->pins;
-  if (seg->pins == 0 && pin_cv_ != nullptr) {
-    pin_cv_->NotifyAll();
-  }
-  if (!data.ok()) {
-    co_return data.status();
-  }
-  std::size_t frame = 0;
-  auto record = mvlog::DecodeRecord(
-      std::span<const std::uint8_t>(data->data(), data->size()), &frame);
-  if (!record.ok()) {
-    co_return record.status();
-  }
-  auto decoded = IndexFile::FromJson(record->value);
-  if (!decoded.ok()) {
-    co_return decoded.status();
-  }
-  auto shared = std::make_shared<const IndexFile>(std::move(*decoded));
-  // Publish only if the key still resolves to exactly the bytes we read —
-  // no overwrite, flush, or compaction moved it during the device wait.
-  auto now_it = keydir_.find(key);
-  if (now_it != keydir_.end() && now_it->second.seg_id == ref.seg_id &&
-      now_it->second.offset == ref.offset && !seg->retired) {
-    auto segments = volume_->MapFileRange(seg->file, ref.offset, ref.length);
-    if (segments.ok()) {
-      CacheInsert(path, shared, std::move(*segments), ref.seg_id);
-    }
-  }
-  co_return std::move(shared);
-}
-
-// --- public API --------------------------------------------------------
+// --- index files -------------------------------------------------------
 
 bool MetadataVolume::Exists(const std::string& path) const {
-  if (!ls()) {
-    return volume_->Exists(IndexName(path));
-  }
-  if (!opened_) {
-    return false;  // dirty store reports empty until recovery runs
-  }
-  return keydir_.find(IndexKey(path)) != keydir_.end();
+  return store_->NextPath(path) == path;
 }
 
 sim::Task<Status> MetadataVolume::Put(IndexFile index) {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    const std::string path = index.path();
-    std::string doc = index.ToJson();
-    const std::string key = IndexKey(path);
-    MemtableApply(key, doc, false);
-    // Write-through publish before suspending: the memtable already serves
-    // this value, and any later mutation of the key drops the entry again.
-    CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)), {});
-    mvlog::Record record{mvlog::RecordType::kPut, key, std::move(doc)};
-    ROS_CO_RETURN_IF_ERROR(co_await log_->Append(std::move(record)));
-    MaybeScheduleFlush();
-    co_return OkStatus();
-  }
-  const std::string name = IndexName(index.path());
-  if (!volume_->Exists(name)) {
-    ROS_CO_RETURN_IF_ERROR(co_await volume_->Create(name));
-  }
-  const std::string doc = index.ToJson();
-  const auto before = volume_->StatFile(name);
-  ROS_CO_RETURN_IF_ERROR(co_await volume_->WriteAll(
-      name, std::vector<std::uint8_t>(doc.begin(), doc.end())));
-  // Write-through: publish the decoded object only when our write was the
-  // sole mutation in the window — one generation step on the file. Any
-  // interleaved writer (to this or another file) advances the volume-wide
-  // counter further and we simply skip the insert; the next Get re-decodes.
-  const auto after = volume_->StatFile(name);
-  if (before.ok() && after.ok() &&
-      after->write_gen == before->write_gen + 1) {
-    auto segments = volume_->MapFileRange(name, 0, after->size);
-    if (segments.ok()) {
-      const std::string path = index.path();
-      CacheInsert(path, std::make_shared<const IndexFile>(std::move(index)),
-                  std::move(*segments));
-    }
-  }
-  co_return OkStatus();
+  ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
+  std::string path = index.path();
+  std::string doc = index.ToJson();
+  IndexPtr decoded = std::make_shared<const IndexFile>(std::move(index));
+  // Write-through: the store publishes the decode once it is current. A
+  // named local, not a temporary in the co_await expression: GCC
+  // miscompiles the lambda-to-function temporary there.
+  MvStore::Publish publish = [this, path, decoded](MvPlacement placement) {
+    cache_.Insert(path, decoded, std::move(placement));
+  };
+  co_return co_await store_->PutIndex(path, std::move(doc),
+                                      std::move(publish));
 }
 
 sim::Task<StatusOr<MetadataVolume::IndexPtr>> MetadataVolume::GetRef(
     std::string path) const {
-  if (ls()) {
-    co_return co_await GetRefLs(std::move(path));
-  }
-  // A present entry is current by construction — every volume mutation
-  // (even ones that bypass this class) synchronously dropped what it
-  // touched — so a hit is one hash probe, no stat. With a non-zero
-  // capacity every GetRef lands in exactly one of hits/misses.
-  if (cache_capacity_ != 0) {
-    auto it = cache_map_.find(std::string_view(path));
-    if (it != cache_map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++cache_stats_.hits;
-      // Share the decoded object (eviction during the device wait can't
-      // invalidate it); only the segment list must be copied onto the
-      // frame before suspending. Replaying the cached device mapping
-      // issues exactly the requests the uncached ReadAll below would, so
-      // cache state never shifts simulated timing — only host-side
-      // decode work.
-      const CacheEntry& hit = lru_.front();
-      IndexPtr shared = hit.index;
-      if (hit.segments.size() == 1) {
-        const auto [dev_offset, n] = hit.segments.front();
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegment(dev_offset, n));
-      } else {
-        disk::Volume::ByteSegments segments = hit.segments;
-        ROS_CO_RETURN_IF_ERROR(
-            co_await volume_->ReadDiscardSegments(std::move(segments)));
-      }
-      co_return std::move(shared);
+  // A present entry is current by construction — every mutation (even one
+  // that bypasses this class) synchronously dropped what it touched — so a
+  // hit is one hash probe, no stat.
+  if (const MvDecodeCache::Entry* hit = cache_.Lookup(path)) {
+    // Share the decoded object (eviction during the device wait can't
+    // invalidate it); only the segment list must be copied onto the frame
+    // before suspending. Replaying the mapping issues exactly the requests
+    // the miss that filled the entry did.
+    IndexPtr shared = hit->index;
+    const disk::Volume::ByteSegments& segments = hit->placement.segments;
+    if (segments.size() == 1) {
+      const auto [dev_offset, n] = segments.front();
+      ROS_CO_RETURN_IF_ERROR(
+          co_await volume_->ReadDiscardSegment(dev_offset, n));
+    } else if (!segments.empty()) {
+      disk::Volume::ByteSegments copy = segments;
+      ROS_CO_RETURN_IF_ERROR(
+          co_await volume_->ReadDiscardSegments(std::move(copy)));
     }
-    ++cache_stats_.misses;
+    co_return std::move(shared);
   }
-  const std::string name = IndexName(path);
-  const auto stat = volume_->StatFile(name);
-  if (!stat.ok()) {
-    co_return stat.status();
+  ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
+  auto value = co_await store_->ReadIndex(path);
+  if (!value.ok()) {
+    co_return value.status();
   }
-  auto data = co_await volume_->ReadAll(name);
-  if (!data.ok()) {
-    co_return data.status();
-  }
-  auto decoded = IndexFile::FromJson(std::string_view(
-      reinterpret_cast<const char*>(data->data()), data->size()));
+  auto decoded = IndexFile::FromJson(value->bytes);
   if (!decoded.ok()) {
     co_return decoded.status();
   }
   auto shared = std::make_shared<const IndexFile>(std::move(*decoded));
-  // Cache only if the file kept its generation across the read, which pins
-  // the decoded object (and its device mapping) to exactly the bytes read.
-  const auto stat_after = volume_->StatFile(name);
-  if (stat_after.ok() && stat_after->write_gen == stat->write_gen) {
-    auto segments = volume_->MapFileRange(name, 0, stat->size);
-    if (segments.ok()) {
-      CacheInsert(path, shared, std::move(*segments));
-    }
+  if (value->placement.has_value()) {
+    cache_.Insert(path, shared, std::move(*value->placement));
   }
   co_return std::move(shared);
 }
 
-sim::Task<StatusOr<IndexFile>> MetadataVolume::Get(
-    std::string path) const {
+sim::Task<StatusOr<IndexFile>> MetadataVolume::Get(std::string path) const {
   auto ref = co_await GetRef(std::move(path));
   if (!ref.ok()) {
     co_return ref.status();
@@ -541,208 +166,94 @@ sim::Task<StatusOr<IndexFile>> MetadataVolume::Get(
 }
 
 sim::Task<Status> MetadataVolume::Remove(std::string path) {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    const std::string key = IndexKey(path);
-    if (keydir_.find(key) == keydir_.end()) {
-      co_return NotFoundError("no file " + IndexName(path));
-    }
-    MemtableApply(key, "", true);
-    mvlog::Record record{mvlog::RecordType::kRemove, key, ""};
-    Status status = co_await log_->Append(std::move(record));
-    MaybeScheduleFlush();
-    co_return status;
-  }
-  CacheErase(path);
-  co_return co_await volume_->Delete(IndexName(path));
+  ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
+  cache_.Erase(path);
+  co_return co_await store_->RemoveIndex(std::move(path));
 }
 
 std::vector<std::string> MetadataVolume::ListChildren(
     const std::string& path) const {
-  if (!ls()) {
-    const std::string prefix =
-        path == "/" ? IndexName("/") : IndexName(path) + "/";
-    // Direct children only; whole grandchild subtrees are skipped with one
-    // seek each instead of being filtered entry by entry. Map order is
-    // lexicographic, so the result needs no sort.
-    return volume_->ListChildren(prefix);
-  }
+  const std::string prefix = path == "/" ? path : path + "/";
   std::vector<std::string> children;
-  if (!opened_) {
-    return children;
-  }
-  const std::string prefix =
-      path == "/" ? IndexKey("/") : IndexKey(path) + "/";
-  // Same delimiter walk as disk::Volume::ListChildren, over the keydir.
-  auto it = keydir_.lower_bound(prefix);
-  while (it != keydir_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0) {
-    const std::string& name = it->first;
-    const std::size_t cut = name.find('/', prefix.size());
-    if (cut == std::string::npos) {
-      if (name.size() > prefix.size()) {
-        children.push_back(name.substr(prefix.size()));
+  std::optional<std::string> next = store_->NextPath(prefix);
+  while (next.has_value() && next->starts_with(prefix)) {
+    const std::string_view rest = std::string_view(*next).substr(prefix.size());
+    const std::size_t cut = rest.find('/');
+    std::string from;
+    if (cut == std::string_view::npos) {
+      if (!rest.empty()) {  // empty: the root's own index
+        children.emplace_back(rest);
       }
-      ++it;
-      continue;
+      from = *next + '\0';
+    } else {
+      // A grandchild: seek past the child's whole subtree at once instead
+      // of walking it entry by entry.
+      from = prefix;
+      from.append(rest.substr(0, cut));
+      from.push_back(static_cast<char>('/' + 1));
     }
-    std::string skip = name.substr(0, cut);
-    skip.push_back(static_cast<char>('/' + 1));
-    it = keydir_.lower_bound(skip);
+    next = store_->NextPath(from);
   }
-  return children;
+  return children;  // path order is lexicographic; already sorted
 }
 
 bool MetadataVolume::HasChildren(const std::string& path) const {
-  if (!ls()) {
-    const std::string prefix =
-        path == "/" ? IndexName("/") : IndexName(path) + "/";
-    if (!volume_->Exists(prefix)) {
-      return volume_->AnyWithPrefix(prefix);
-    }
-    // `prefix` itself is an index file (the root's own, "/idx/"): a child
-    // must extend it.
-    return volume_->CountPrefix(prefix) > 1;
-  }
-  if (!opened_) {
-    return false;
-  }
-  const std::string prefix =
-      path == "/" ? IndexKey("/") : IndexKey(path) + "/";
-  auto it = keydir_.lower_bound(prefix);
-  if (it != keydir_.end() && it->first == prefix) {
-    ++it;  // the root's own index; a child must extend the prefix
-  }
-  return it != keydir_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
+  const std::string prefix = path == "/" ? path : path + "/";
+  // `prefix + '\0'` steps past the root's own index, the one path equal
+  // to its prefix.
+  const std::optional<std::string> next = store_->NextPath(prefix + '\0');
+  return next.has_value() && next->starts_with(prefix);
 }
 
 std::vector<std::string> MetadataVolume::AllPaths() const {
   std::vector<std::string> paths;
-  if (!ls()) {
-    paths.reserve(volume_->CountPrefix("/idx/"));
-    volume_->ForEachPrefix(
-        "/idx/", [&paths](const std::string& name, std::uint64_t) {
-          paths.push_back(name.substr(4));  // strip "/idx"
-        });
-    return paths;  // map order is lexicographic; already sorted
-  }
-  if (!opened_) {
-    return paths;
-  }
-  for (auto it = keydir_.lower_bound("i/");
-       it != keydir_.end() && it->first.compare(0, 2, "i/") == 0; ++it) {
-    paths.push_back(it->first.substr(1));  // strip the "i" domain tag
+  paths.reserve(index_count());
+  for (std::optional<std::string> next = store_->NextPath("");
+       next.has_value(); next = store_->NextPath(*next + '\0')) {
+    paths.push_back(*next);
   }
   return paths;
 }
 
-std::uint64_t MetadataVolume::index_count() const {
-  if (!ls()) {
-    // O(1): seeded once at construction, maintained by the mutation
-    // observer on every create/delete/format (vs. the old O(n) walk).
-    return legacy_index_count_;
-  }
-  // O(1): the keydir maintains the live count through every put, remove,
-  // replay, and compaction (vs. the legacy O(n) prefix walk).
-  return opened_ ? live_index_count_ : 0;
-}
+// --- system running state ----------------------------------------------
 
-sim::Task<Status> MetadataVolume::PutState(std::string key,
-                                           json::Value v) {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    const std::string skey = StateKey(key);
-    std::string doc = v.Dump();
-    MemtableApply(skey, doc, false);
-    mvlog::Record record{mvlog::RecordType::kPutState, skey, std::move(doc)};
-    Status status = co_await log_->Append(std::move(record));
-    MaybeScheduleFlush();
-    co_return status;
-  }
-  const std::string name = "/state/" + key;
-  if (!volume_->Exists(name)) {
-    ROS_CO_RETURN_IF_ERROR(co_await volume_->Create(name));
-  }
-  const std::string doc = v.Dump();
-  co_return co_await volume_->WriteAll(
-      name, std::vector<std::uint8_t>(doc.begin(), doc.end()));
+sim::Task<Status> MetadataVolume::PutState(std::string key, json::Value v) {
+  ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
+  co_return co_await store_->PutState(std::move(key), v.Dump());
 }
 
 sim::Task<StatusOr<json::Value>> MetadataVolume::GetState(
     std::string key) const {
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    auto value = co_await ReadValueLs(StateKey(key));
-    if (!value.ok()) {
-      co_return value.status();
-    }
-    co_return json::Parse(*value);
+  ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
+  auto value = co_await store_->ReadState(std::move(key));
+  if (!value.ok()) {
+    co_return value.status();
   }
-  auto data = co_await volume_->ReadAll("/state/" + key);
-  if (!data.ok()) {
-    co_return data.status();
-  }
-  co_return json::Parse(std::string_view(
-      reinterpret_cast<const char*>(data->data()), data->size()));
+  co_return json::Parse(value->bytes);
 }
 
 // --- snapshots ---------------------------------------------------------
 
 sim::Task<StatusOr<udf::Image>> MetadataVolume::BuildSnapshotImage(
     std::string image_id, std::uint64_t capacity) const {
+  ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
   udf::Image image(image_id, capacity);
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    // Streaming: one key and one value in flight at a time. The keydir
-    // iterator cannot live across the value read's suspension, so each
-    // step re-seeks by the previous key.
-    std::string cursor;
-    while (true) {
-      std::string key;
-      {
-        auto it = cursor.empty() ? keydir_.lower_bound("i/")
-                                 : keydir_.upper_bound(cursor);
-        if (it == keydir_.end() || it->first.compare(0, 2, "i/") != 0) {
-          break;
-        }
-        key = it->first;
+  // One entry in flight at a time; the walk re-seeks after every read's
+  // suspension instead of holding an iterator across it.
+  for (std::optional<std::string> path = store_->NextPath("");
+       path.has_value(); path = store_->NextPath(*path + '\0')) {
+    auto value = co_await store_->ReadIndex(*path);
+    if (!value.ok()) {
+      if (value.status().code() == StatusCode::kNotFound) {
+        continue;  // removed while we streamed past it
       }
-      cursor = key;
-      auto value = co_await ReadValueLs(key);
-      if (!value.ok()) {
-        if (value.status().code() == StatusCode::kNotFound) {
-          continue;  // removed while we streamed past it
-        }
-        co_return value.status();
-      }
-      // "i/a/b" -> "/.mv/a/b#idx", the same image layout the legacy
-      // backend writes, so snapshots restore across backends.
-      const std::string snap_path =
-          std::string(kSnapshotDir) + key.substr(1) + "#idx";
-      Status status = image.AddFile(
-          snap_path, std::vector<std::uint8_t>(value->begin(), value->end()));
-      if (!status.ok()) {
-        co_return status;
-      }
+      co_return value.status();
     }
-    co_return image;
-  }
-  // Materialized List on purpose: the loop suspends on every ReadAll, and
-  // map iterators must not be held across a co_await.
-  for (const std::string& name : volume_->List("/idx/")) {
-    auto data = co_await volume_->ReadAll(name);
-    if (!data.ok()) {
-      co_return data.status();
-    }
-    // "/idx/a/b" -> "/.mv/a/b#idx" (the suffix keeps directory index
-    // files from colliding with their children's paths).
-    const std::string path =
-        std::string(kSnapshotDir) + name.substr(4) + "#idx";
-    Status status = image.AddFile(path, std::move(*data));
-    if (!status.ok()) {
-      co_return status;
-    }
+    // "/a/b" -> "/.mv/a/b#idx" (the suffix keeps directory index files
+    // from colliding with their children's paths).
+    ROS_CO_RETURN_IF_ERROR(image.AddFile(
+        std::string(kSnapshotDir) + *path + "#idx",
+        std::vector<std::uint8_t>(value->bytes.begin(), value->bytes.end())));
   }
   co_return image;
 }
@@ -751,77 +262,32 @@ sim::Task<StatusOr<udf::Image>> MetadataVolume::BuildSnapshotImage(
 // keep the snapshot alive for the duration of the restore.
 sim::Task<Status> MetadataVolume::RestoreFromSnapshot(
     const udf::Image& snapshot) {
-  CacheClear();
-  std::vector<std::pair<std::string, const udf::Node*>> files;
+  cache_.Clear();
+  std::vector<std::pair<std::string, std::string>> entries;
   snapshot.Walk([&](const std::string& path, const udf::Node& node) {
-    if (node.type == udf::NodeType::kFile &&
-        path.rfind(std::string(kSnapshotDir) + "/", 0) == 0) {
-      files.emplace_back(path, &node);
+    if (node.type != udf::NodeType::kFile ||
+        !path.starts_with(std::string(kSnapshotDir) + "/")) {
+      return;
     }
-  });
-  if (ls()) {
-    ROS_CO_RETURN_IF_ERROR(co_await EnsureOpen());
-    Status first_error = OkStatus();
-    std::uint64_t failed = 0;
-    // Windowed WAL barriers: every append in a window joins one group
-    // commit, so the restore pays one batched volume write per window
-    // instead of a durability barrier per entry.
-    std::vector<sim::Task<Status>> window;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      std::string global_path = files[i].first.substr(kSnapshotDir.size());
-      constexpr std::string_view kSuffix = "#idx";
-      if (global_path.size() > kSuffix.size() &&
-          global_path.ends_with(kSuffix)) {
-        global_path.resize(global_path.size() - kSuffix.size());
-      }
-      const udf::Node* node = files[i].second;
-      // Raw bytes, no validation — same contract as the legacy restore: a
-      // corrupt snapshot entry restores fine and fails at first decode.
-      std::string content(node->data.begin(), node->data.end());
-      const std::string key = IndexKey(global_path);
-      MemtableApply(key, content, false);
-      window.push_back(log_->Append(
-          mvlog::Record{mvlog::RecordType::kPut, key, std::move(content)}));
-      if (window.size() >= 128 || i + 1 == files.size()) {
-        Status status = co_await sim::AllOk(*sim_, std::move(window));
-        window.clear();
-        if (!status.ok()) {
-          ++failed;
-          if (first_error.ok()) {
-            first_error = status;
-          }
-        }
-        MaybeScheduleFlush();
-      }
-    }
-    if (failed > 1) {
-      co_return Status(first_error.code(),
-                       std::string(first_error.message()) + " (and " +
-                           std::to_string(failed - 1) +
-                           " more restore failures)");
-    }
-    co_return first_error;
-  }
-  // Restore every file we can; a single bad entry (or a transient volume
-  // error) should not abandon the rest of the namespace.
-  Status first_error = OkStatus();
-  std::uint64_t failed = 0;
-  for (const auto& [path, node] : files) {
     std::string global_path = path.substr(kSnapshotDir.size());
     constexpr std::string_view kSuffix = "#idx";
     if (global_path.size() > kSuffix.size() &&
         global_path.ends_with(kSuffix)) {
       global_path.resize(global_path.size() - kSuffix.size());
     }
-    const std::string name = IndexName(global_path);
-    Status status = OkStatus();
-    if (!volume_->Exists(name)) {
-      status = co_await volume_->Create(name);
-    }
-    if (status.ok()) {
-      std::vector<std::uint8_t> content(node->data);
-      status = co_await volume_->WriteAll(name, std::move(content));
-    }
+    // Raw bytes, no validation: a corrupt snapshot entry restores fine
+    // and fails at first decode.
+    entries.emplace_back(std::move(global_path),
+                         std::string(node.data.begin(), node.data.end()));
+  });
+  ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
+  // Every entry the store can write is restored; a single bad entry (or a
+  // transient volume error) does not abandon the rest of the namespace.
+  const std::vector<Status> results =
+      co_await store_->RestoreIndexes(std::move(entries));
+  Status first_error = OkStatus();
+  std::uint64_t failed = 0;
+  for (const Status& status : results) {
     if (!status.ok()) {
       ++failed;
       if (first_error.ok()) {
@@ -838,604 +304,10 @@ sim::Task<Status> MetadataVolume::RestoreFromSnapshot(
   co_return first_error;
 }
 
-// --- background flush --------------------------------------------------
-
-void MetadataVolume::MaybeScheduleFlush() const {
-  if (!ls() || flush_running_ || !opened_) {
-    return;
-  }
-  if (memtable_bytes_ < options_.memtable_flush_bytes && !imm_valid_) {
-    return;
-  }
-  flush_running_ = true;
-  sim_->Spawn(FlushTaskLs(alive_));
-}
-
-sim::Task<void> MetadataVolume::FlushTaskLs(
-    std::shared_ptr<const bool> alive) const {
-  Status status = co_await FlushOnceLs(alive);
-  if (!*alive) {
-    co_return;
-  }
-  flush_running_ = false;
-  if (!status.ok()) {
-    if (last_background_error_.ok()) {
-      last_background_error_ = status;
-    }
-    co_return;  // retried by the next mutation's MaybeScheduleFlush
-  }
-  MaybeScheduleFlush();  // the active memtable may already be over budget
-  MaybeScheduleCompaction();
-}
-
-sim::Task<Status> MetadataVolume::FlushOnceLs(
-    std::shared_ptr<const bool> alive) const {
-  const std::uint64_t epoch = epoch_;
-  if (!imm_valid_) {
-    // Freeze: host-atomic swap of the active shards plus a WAL rotation,
-    // so the frozen generation's records stay in their own file(s).
-    bool any = false;
-    for (std::size_t i = 0; i < kMemtableShards; ++i) {
-      any = any || !active_[i].empty();
-      imm_[i] = std::move(active_[i]);
-      active_[i].clear();
-    }
-    if (!any) {
-      co_return OkStatus();
-    }
-    imm_valid_ = true;
-    imm_bytes_ = memtable_bytes_;
-    memtable_bytes_ = 0;
-    log_->AdvanceSeq();
-  }
-  // Everything in the frozen generation must be durable in the WAL before
-  // the segment claims it; this also keeps a straggling group commit from
-  // resurrecting a WAL file that DeleteBelow just reclaimed.
-Status synced = co_await log_->Sync();
-  if (!*alive || epoch_ != epoch) {
-    co_return AbortedErrorForReset();
-  }
-  ROS_CO_RETURN_IF_ERROR(synced);
-
-  // Gather the frozen entries in key order. Pointers into the immutable
-  // shards stay valid across suspensions: nothing mutates imm_ but this
-  // single-flight flush.
-  std::vector<std::pair<const std::string*, const MemEntry*>> entries;
-  for (std::size_t i = 0; i < kMemtableShards; ++i) {
-    for (const auto& [key, entry] : imm_[i]) {
-      entries.emplace_back(&key, &entry);
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-
-  const std::uint64_t rank = next_rank_++;
-  const std::uint64_t id = next_seg_id_++;
-  mvseg::SegmentBuilder builder(rank, id);
-  for (const auto& [key, entry] : entries) {
-    builder.Add(mvlog::Record{
-        entry->tombstone
-            ? mvlog::RecordType::kRemove
-            : ((*key)[0] == 's' ? mvlog::RecordType::kPutState
-                                : mvlog::RecordType::kPut),
-        *key, entry->value});
-  }
-  const std::vector<std::pair<std::uint64_t, std::uint32_t>> refs =
-      builder.refs();
-  const std::string file = mvseg::SegmentFileName(rank, id);
-  std::vector<std::uint8_t> bytes = std::move(builder).Finish();
-  const std::uint64_t seg_bytes = bytes.size();
-
-  Status created = co_await volume_->Create(file);
-  if (!*alive || epoch_ != epoch) {
-    co_return AbortedErrorForReset();
-  }
-  ROS_CO_RETURN_IF_ERROR(created);
-  std::vector<std::vector<std::uint8_t>> pieces;
-  pieces.push_back(std::move(bytes));
-  Status written = co_await volume_->AppendBatch(file, std::move(pieces));
-  if (!*alive || epoch_ != epoch) {
-    co_return AbortedErrorForReset();
-  }
-  if (!written.ok()) {
-    Status cleanup = co_await volume_->Delete(file);
-    if (!*alive || epoch_ != epoch) {
-      co_return AbortedErrorForReset();
-    }
-    if (!cleanup.ok() && last_background_error_.ok()) {
-      last_background_error_ = cleanup;
-    }
-    co_return written;  // imm_ stays frozen; the next flush retries
-  }
-
-  // Publish (host-atomic): register the segment and repoint every key the
-  // active memtable has not overwritten since the freeze.
-  SegmentPtr info = std::make_shared<SegmentInfo>();
-  info->rank = rank;
-  info->id = id;
-  info->file = file;
-  info->records_total = refs.size();
-  info->bytes = seg_bytes;
-  segments_.push_back(info);  // fresh rank: sorts after every older segment
-  segs_by_id_.emplace(id, info);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::string& key = *entries[i].first;
-    if (entries[i].second->tombstone) {
-      continue;  // its keydir entry is already gone
-    }
-    // A newer write in the active memtable shadows this record: dead on
-    // arrival, reclaimed by compaction.
-    const Shard& shard = active_[ShardOf(key)];
-    if (shard.find(key) != shard.end()) {
-      continue;
-    }
-    auto kit = keydir_.find(key);
-    if (kit != keydir_.end() && kit->second.seg_id == 0) {
-      kit->second = KeyRef{id, refs[i].first, refs[i].second};
-      ++info->records_live;
-    }
-  }
-  // Cached decodes of memtable-resident entries now have a segment-backed
-  // miss cost; drop them so hit and miss charges stay identical.
-  CacheEraseBySegment(0);
-  for (std::size_t i = 0; i < kMemtableShards; ++i) {
-    imm_[i].clear();
-  }
-  imm_valid_ = false;
-  imm_bytes_ = 0;
-  ++counters_.memtable_flushes;
-
-  // The frozen generation's WAL files are covered by the segment now.
-  Status trimmed = co_await log_->DeleteBelow(log_->current_seq());
-  if (!*alive || epoch_ != epoch) {
-    co_return AbortedErrorForReset();
-  }
-  co_return trimmed;
-}
-
-// --- background compaction ---------------------------------------------
-
-// A sealed segment is at the size cap with every record still live:
-// merging it again cannot shrink anything, so it neither counts toward the
-// size trigger nor gets picked as a merge input. (A retained tombstone or
-// any overwritten record keeps records_live below records_total, which
-// unseals the segment.)
-bool MetadataVolume::SealedSegment(const SegmentInfo& seg) const {
-  return seg.bytes >= options_.max_segment_bytes &&
-         seg.records_live >= seg.records_total;
-}
-
-bool MetadataVolume::CompactionNeeded() const {
-  std::size_t foldable = 0;
-  for (const SegmentPtr& seg : segments_) {
-    if (!SealedSegment(*seg)) {
-      ++foldable;
-    }
-  }
-  if (foldable > options_.compact_min_segments) {
-    return true;
-  }
-  if (segments_.empty()) {
-    return false;
-  }
-  std::uint64_t total = 0;
-  std::uint64_t live = 0;
-  for (const SegmentPtr& seg : segments_) {
-    total += seg->records_total;
-    live += seg->records_live;
-  }
-  return total > 0 &&
-         static_cast<double>(total - live) >
-             options_.compact_garbage_ratio * static_cast<double>(total);
-}
-
-void MetadataVolume::MaybeScheduleCompaction() const {
-  if (!ls() || compact_running_ || !opened_ || !CompactionNeeded()) {
-    return;
-  }
-  compact_running_ = true;
-  sim_->Spawn(CompactTaskLs(alive_));
-}
-
-sim::Task<void> MetadataVolume::CompactTaskLs(
-    std::shared_ptr<const bool> alive) const {
-  Status status = co_await CompactOnceLs(alive);
-  if (!*alive) {
-    co_return;
-  }
-  compact_running_ = false;
-  if (!status.ok()) {
-    if (last_background_error_.ok()) {
-      last_background_error_ = status;
-    }
-    co_return;  // don't spin on a persistently failing merge
-  }
-  MaybeScheduleCompaction();  // keep folding until the trigger clears
-}
-
-sim::Task<Status> MetadataVolume::CompactOnceLs(
-    std::shared_ptr<const bool> alive) const {
-  const std::uint64_t epoch = epoch_;
-  // Inputs are a CONTIGUOUS run in (rank, id) order, starting at the first
-  // segment that merging can still shrink — the sealed prefix (full, fully
-  // live) is skipped so a big store doesn't rewrite the same bytes forever.
-  // Contiguity is what keeps replay order meaningful for the outputs.
-  std::size_t start = 0;
-  while (start < segments_.size() && SealedSegment(*segments_[start])) {
-    ++start;
-  }
-  const std::size_t fan_in =
-      std::min(options_.compact_fan_in, segments_.size() - start);
-  if (fan_in == 0) {
-    co_return OkStatus();
-  }
-  // Tombstones may be dropped only when the run starts at the oldest
-  // segment: then nothing older is left for them to shadow. Otherwise they
-  // are rewritten into the outputs (still dead weight, which keeps the
-  // output unsealed until a later oldest-prefix run retires them).
-  const bool drop_tombstones = start == 0;
-  std::vector<SegmentPtr> inputs(segments_.begin() + start,
-                                 segments_.begin() + start + fan_in);
-
-  struct SourcedRecord {
-    mvlog::Record record;
-    std::uint64_t offset = 0;
-  };
-  std::vector<std::vector<SourcedRecord>> runs;
-  runs.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    auto data = co_await volume_->ReadAll(inputs[i]->file);
-    if (!*alive || epoch_ != epoch) {
-      co_return AbortedErrorForReset();
-    }
-    if (!data.ok()) {
-      co_return data.status();
-    }
-    runs.emplace_back();
-    Status parsed = mvseg::ParseSegment(
-        std::span<const std::uint8_t>(data->data(), data->size()), nullptr,
-        [&runs](mvlog::Record record, std::uint64_t offset, std::uint32_t) {
-          runs.back().push_back(SourcedRecord{std::move(record), offset});
-        });
-    if (!parsed.ok()) {
-      // Corrupted underneath us (external poke). Leave the store alone;
-      // point reads surface kDataLoss per record, recovery handles rest.
-      co_return parsed;
-    }
-  }
-
-  // k-way merge, newest run wins per key; liveness-filter against the
-  // keydir so dead records are dropped instead of rewritten.
-  struct OutRecord {
-    mvlog::Record record;
-    std::uint64_t src_seg = 0;
-    std::uint64_t src_offset = 0;
-  };
-  std::vector<OutRecord> merged;
-  std::vector<std::size_t> cursors(runs.size(), 0);
-  while (true) {
-    const std::string* min_key = nullptr;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (cursors[r] >= runs[r].size()) {
-        continue;
-      }
-      const std::string& key = runs[r][cursors[r]].record.key;
-      if (min_key == nullptr || key < *min_key) {
-        min_key = &key;
-      }
-    }
-    if (min_key == nullptr) {
-      break;
-    }
-    const std::string key = *min_key;
-    std::size_t winner = 0;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (cursors[r] < runs[r].size() &&
-          runs[r][cursors[r]].record.key == key) {
-        winner = r;  // runs are ordered oldest→newest; the last match wins
-      }
-    }
-    const std::size_t win_at = cursors[winner];
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (cursors[r] < runs[r].size() &&
-          runs[r][cursors[r]].record.key == key) {
-        ++cursors[r];  // advance BEFORE the move hollows the winner's key
-      }
-    }
-    SourcedRecord rec = std::move(runs[winner][win_at]);
-    if (rec.record.type == mvlog::RecordType::kRemove) {
-      if (!drop_tombstones) {
-        // The run does not start at the oldest segment, so an older one may
-        // still hold a record this tombstone shadows. Keep it (the keydir
-        // has no entry for it — it is filtered below otherwise).
-        merged.push_back(
-            OutRecord{std::move(rec.record), inputs[winner]->id, rec.offset});
-      }
-      continue;
-    }
-    auto kit = keydir_.find(rec.record.key);
-    if (kit == keydir_.end() || kit->second.seg_id != inputs[winner]->id ||
-        kit->second.offset != rec.offset) {
-      continue;  // dead: overwritten or removed since it was flushed
-    }
-    merged.push_back(
-        OutRecord{std::move(rec.record), inputs[winner]->id, rec.offset});
-  }
-
-  // Serialize outputs (split at max_segment_bytes; same rank as the oldest
-  // input so recovery replays them in the inputs' position).
-  const std::uint64_t out_rank = inputs.front()->rank;
-  struct OutSeg {
-    std::uint64_t id = 0;
-    std::string file;
-    std::vector<std::uint8_t> bytes;
-    std::uint64_t byte_size = 0;
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> refs;
-    std::size_t first_record = 0;
-    std::size_t record_count = 0;
-  };
-  std::vector<OutSeg> outs;
-  std::size_t at = 0;
-  while (at < merged.size()) {
-    const std::uint64_t id = next_seg_id_++;
-    mvseg::SegmentBuilder builder(out_rank, id);
-    const std::size_t first = at;
-    while (at < merged.size() &&
-           (builder.count() == 0 ||
-            builder.bytes() < options_.max_segment_bytes)) {
-      builder.Add(merged[at].record);
-      ++at;
-    }
-    OutSeg out;
-    out.id = id;
-    out.file = mvseg::SegmentFileName(out_rank, id);
-    out.refs = builder.refs();
-    out.first_record = first;
-    out.record_count = at - first;
-    out.bytes = std::move(builder).Finish();
-    out.byte_size = out.bytes.size();
-    outs.push_back(std::move(out));
-  }
-
-  // Write every output before touching shared state: readers keep using
-  // the inputs, and a crash here just leaves extra files that recovery
-  // replays idempotently (same rank, higher id).
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    Status created = co_await volume_->Create(outs[i].file);
-    if (!*alive || epoch_ != epoch) {
-      co_return AbortedErrorForReset();
-    }
-    Status written = created;
-    if (created.ok()) {
-      std::vector<std::vector<std::uint8_t>> pieces;
-      pieces.push_back(std::move(outs[i].bytes));
-      written = co_await volume_->AppendBatch(outs[i].file, std::move(pieces));
-      if (!*alive || epoch_ != epoch) {
-        co_return AbortedErrorForReset();
-      }
-    }
-    if (!written.ok()) {
-      // Unwind partial outputs; the inputs remain authoritative.
-      for (std::size_t j = 0; j <= i; ++j) {
-        Status cleanup = co_await volume_->Delete(outs[j].file);
-        if (!*alive || epoch_ != epoch) {
-          co_return AbortedErrorForReset();
-        }
-        if (!cleanup.ok() && last_background_error_.ok()) {
-          last_background_error_ = cleanup;
-        }
-      }
-      co_return written;
-    }
-  }
-
-  // Swap (host-atomic): unlink inputs, link outputs, repoint still-live
-  // keys. Records that died while the outputs were being written simply
-  // stay dead — the re-check is against the keydir's current refs.
-  // Concurrent flushes only ever append newer segments, so the input run
-  // is still where it was.
-  ROS_CHECK(segments_.size() >= start + inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    ROS_CHECK(segments_[start + i].get() == inputs[i].get());
-  }
-  segments_.erase(segments_.begin() + start,
-                  segments_.begin() + start + inputs.size());
-  std::vector<SegmentPtr> out_infos;
-  out_infos.reserve(outs.size());
-  for (const OutSeg& out : outs) {
-    SegmentPtr info = std::make_shared<SegmentInfo>();
-    info->rank = out_rank;
-    info->id = out.id;
-    info->file = out.file;
-    info->records_total = out.record_count;
-    info->bytes = out.byte_size;
-    segs_by_id_.emplace(out.id, info);
-    out_infos.push_back(info);
-  }
-  segments_.insert(segments_.begin(), out_infos.begin(), out_infos.end());
-  std::sort(segments_.begin(), segments_.end(),
-            [](const SegmentPtr& a, const SegmentPtr& b) {
-              return a->rank != b->rank ? a->rank < b->rank : a->id < b->id;
-            });
-  for (std::size_t o = 0; o < outs.size(); ++o) {
-    const OutSeg& out = outs[o];
-    const SegmentPtr& info = out_infos[o];
-    for (std::size_t r = 0; r < out.record_count; ++r) {
-      const OutRecord& src = merged[out.first_record + r];
-      auto kit = keydir_.find(src.record.key);
-      if (kit != keydir_.end() && kit->second.seg_id == src.src_seg &&
-          kit->second.offset == src.src_offset) {
-        kit->second = KeyRef{out.id, out.refs[r].first, out.refs[r].second};
-        ++info->records_live;
-      }
-    }
-  }
-  for (const SegmentPtr& input : inputs) {
-    input->retired = true;
-    CacheEraseBySegment(input->id);
-    segs_by_id_.erase(input->id);
-  }
-
-  // Retire input files once in-flight point reads drain.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    while (inputs[i]->pins > 0) {
-      co_await pin_cv_->Wait();
-      if (!*alive || epoch_ != epoch) {
-        co_return AbortedErrorForReset();
-      }
-    }
-    Status unlink = co_await volume_->Delete(inputs[i]->file);
-    if (!*alive || epoch_ != epoch) {
-      co_return AbortedErrorForReset();
-    }
-    if (!unlink.ok() && last_background_error_.ok()) {
-      last_background_error_ = unlink;
-    }
-  }
-  ++counters_.compactions;
-  counters_.segments_deleted += inputs.size();
-  co_return OkStatus();
-}
-
-// --- stats -------------------------------------------------------------
-
-MetadataVolume::StoreStats MetadataVolume::store_stats() const {
-  StoreStats stats;
-  stats.log_structured = ls();
-  if (!ls()) {
-    return stats;
-  }
-  stats.wal = log_->stats();
-  for (std::size_t i = 0; i < kMemtableShards; ++i) {
-    stats.memtable_entries += active_[i].size();
-    if (imm_valid_) {
-      stats.memtable_entries += imm_[i].size();
-    }
-  }
-  stats.memtable_bytes = memtable_bytes_ + (imm_valid_ ? imm_bytes_ : 0);
-  stats.segment_count = segments_.size();
-  for (const SegmentPtr& seg : segments_) {
-    stats.segment_records_total += seg->records_total;
-    stats.segment_records_live += seg->records_live;
-    stats.segment_bytes += seg->bytes;
-  }
-  stats.memtable_flushes = counters_.memtable_flushes;
-  stats.compactions = counters_.compactions;
-  stats.segments_deleted = counters_.segments_deleted;
-  stats.recovered_segments = counters_.recovered_segments;
-  stats.corrupt_segments = counters_.corrupt_segments;
-  stats.replayed_wal_records = counters_.replayed_wal_records;
-  stats.torn_tail_bytes = counters_.torn_tail_bytes;
-  return stats;
-}
-
-// --- decoded-index cache -----------------------------------------------
-
-void MetadataVolume::OnVolumeMutation(const std::string& name,
-                                      disk::Volume::MutationKind kind) const {
-  // Counter maintenance first: it must see every existence change, even
-  // when the decode cache is empty and the invalidation work below is
-  // skipped. Only the legacy backend stores "/idx/..." files directly;
-  // the LS store keeps its own live_index_count_ in the keydir paths.
-  if (!ls()) {
-    using Kind = disk::Volume::MutationKind;
-    switch (kind) {
-      case Kind::kFormatted:
-        legacy_index_count_ = 0;
-        break;
-      case Kind::kCreated:
-        if (name.compare(0, 5, "/idx/") == 0) {
-          ++legacy_index_count_;
-        }
-        break;
-      case Kind::kDeleted:
-        if (name.compare(0, 5, "/idx/") == 0) {
-          --legacy_index_count_;
-        }
-        break;
-      case Kind::kModified:
-        break;  // bytes changed, existence didn't
-    }
-  }
-  if (cache_map_.empty()) {
-    return;
-  }
-  if (name.empty()) {  // FormatQuick: everything changed
-    CacheClear();
-    return;
-  }
-  if (ls()) {
-    // The store's own WAL/segment writes can't stale a cached decode (the
-    // flush/compaction paths invalidate by segment id themselves), but an
-    // external poke at a segment file — corruption tests writing through
-    // volume() — must drop every decode backed by it.
-    if (name.compare(0, mvseg::kFilePrefix.size(), mvseg::kFilePrefix) ==
-        0) {
-      for (const SegmentPtr& seg : segments_) {
-        if (seg->file == name) {
-          CacheEraseBySegment(seg->id);
-          break;
-        }
-      }
-    }
-    return;
-  }
-  // Only "/idx..." files back cached entries; the map is keyed by path,
-  // which is the name minus that prefix (a view — no allocation here, and
-  // this runs on every volume write).
-  std::string_view view(name);
-  if (view.substr(0, 4) == "/idx") {
-    CacheErase(view.substr(4));
-  }
-}
-
-void MetadataVolume::CacheInsert(const std::string& path, IndexPtr index,
-                                 disk::Volume::ByteSegments segments,
-                                 std::uint64_t source_seg) const {
-  if (cache_capacity_ == 0) {
-    return;
-  }
-  auto it = cache_map_.find(std::string_view(path));
-  if (it != cache_map_.end()) {
-    it->second->index = std::move(index);
-    it->second->segments = std::move(segments);
-    it->second->source_seg = source_seg;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(
-      CacheEntry{path, std::move(index), std::move(segments), source_seg});
-  cache_map_.emplace(lru_.front().path, lru_.begin());
-  if (cache_map_.size() > cache_capacity_) {
-    cache_map_.erase(std::string_view(lru_.back().path));
-    lru_.pop_back();
-    ++cache_stats_.evictions;
-  }
-}
-
-void MetadataVolume::CacheErase(std::string_view path) const {
-  auto it = cache_map_.find(path);
-  if (it == cache_map_.end()) {
-    return;
-  }
-  lru_.erase(it->second);
-  cache_map_.erase(it);
-}
-
-void MetadataVolume::CacheClear() const {
-  lru_.clear();
-  cache_map_.clear();
-}
-
-void MetadataVolume::CacheEraseBySegment(std::uint64_t seg_id) const {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->source_seg == seg_id) {
-      cache_map_.erase(std::string_view(it->path));
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void MetadataVolume::WipeAll() {
+  cache_.Clear();
+  store_->Wipe();
+  volume_->FormatQuick();
 }
 
 }  // namespace ros::olfs

@@ -233,7 +233,7 @@ sim::Task<void> MvLog::FlushLoop(std::shared_ptr<const bool> alive) {
       // Let the active batch accumulate for the commit window, then seal
       // whatever is there. Appends (and seals) during the wait are fine:
       // the queue is re-examined after it.
-      co_await sim_.Delay(options_.commit_window);
+      co_await sim_.Delay(kCommitWindow);
       if (!*alive) {
         co_return;
       }

@@ -96,14 +96,12 @@ ScanStats ScanRecords(std::span<const std::uint8_t> data,
 // bookkeeping between co_awaits is atomic with respect to other tasks.
 class MvLog {
  public:
-  struct Options {
-    // How long the flusher lets a batch accumulate before landing it. In
-    // discrete-event time every appender runnable at the same instant
-    // joins the batch even at a zero window; the window additionally
-    // coalesces writers spread across a short real-time burst. Kept small
-    // so sequential callers barely notice it.
-    sim::Duration commit_window = sim::Micros(100);
-  };
+  // How long the flusher lets a batch accumulate before landing it. In
+  // discrete-event time every appender runnable at the same instant joins
+  // the batch even at a zero window; the window additionally coalesces
+  // writers spread across a short real-time burst. Kept small so
+  // sequential callers barely notice it.
+  static constexpr sim::Duration kCommitWindow = sim::Micros(100);
 
   struct Stats {
     std::uint64_t records_appended = 0;
@@ -113,8 +111,8 @@ class MvLog {
     std::uint64_t max_batch_records = 0;
   };
 
-  MvLog(sim::Simulator& sim, disk::Volume* volume, Options options)
-      : sim_(sim), volume_(volume), options_(options) {
+  MvLog(sim::Simulator& sim, disk::Volume* volume)
+      : sim_(sim), volume_(volume) {
     ROS_CHECK(volume != nullptr);
   }
   // A suspended flusher frame can outlive the writer (the store is
@@ -178,7 +176,6 @@ class MvLog {
 
   sim::Simulator& sim_;
   disk::Volume* volume_;
-  Options options_;
   Stats stats_;
   std::uint64_t seq_ = 1;
   std::uint64_t min_seq_ = 1;  // lowest WAL file not yet deleted

@@ -165,9 +165,9 @@ Status ParseSegment(
   return OkStatus();
 }
 
-void MergeSortedRuns(std::vector<std::vector<mvlog::Record>> runs,
-                     bool drop_tombstones,
-                     const std::function<void(mvlog::Record)>& fn) {
+void MergeSortedRuns(
+    std::vector<std::vector<mvlog::Record>> runs, bool drop_tombstones,
+    const std::function<void(mvlog::Record, std::size_t, std::size_t)>& fn) {
   std::vector<std::size_t> cursors(runs.size(), 0);
   while (true) {
     // Smallest current key; among equals the NEWEST run (highest index)
@@ -187,17 +187,20 @@ void MergeSortedRuns(std::vector<std::vector<mvlog::Record>> runs,
     }
     const std::string key = *min_key;  // runs mutate below; copy the key
     std::optional<mvlog::Record> winner;
+    std::size_t run = 0;
+    std::size_t index = 0;
     for (std::size_t r = 0; r < runs.size(); ++r) {
       if (cursors[r] < runs[r].size() && runs[r][cursors[r]].key == key) {
         winner = std::move(runs[r][cursors[r]]);
-        ++cursors[r];
+        run = r;
+        index = cursors[r]++;
       }
     }
     ROS_CHECK(winner.has_value());
     if (drop_tombstones && winner->type == mvlog::RecordType::kRemove) {
       continue;
     }
-    fn(std::move(*winner));
+    fn(std::move(*winner), run, index);
   }
 }
 

@@ -81,13 +81,13 @@ Status ParseSegment(
         fn);
 
 // Merges sorted runs ordered oldest to newest, emitting the newest record
-// for each key in increasing key order. With `drop_tombstones` (legal only
-// when the inputs are the oldest segments in the store — nothing below
-// them left to shadow), surviving kRemove records are dropped instead of
-// emitted.
-void MergeSortedRuns(std::vector<std::vector<mvlog::Record>> runs,
-                     bool drop_tombstones,
-                     const std::function<void(mvlog::Record)>& fn);
+// for each key in increasing key order, with the run and the position in
+// it the record came from. With `drop_tombstones` (legal only when the
+// inputs are the oldest segments in the store — nothing below them left
+// to shadow), surviving kRemove records are dropped instead of emitted.
+void MergeSortedRuns(
+    std::vector<std::vector<mvlog::Record>> runs, bool drop_tombstones,
+    const std::function<void(mvlog::Record, std::size_t, std::size_t)>& fn);
 
 }  // namespace ros::olfs::mvseg
 

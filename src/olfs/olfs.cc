@@ -10,6 +10,11 @@ namespace ros::olfs {
 
 namespace {
 
+// Versioned updates (§4.6): a 1 KiB index block stores up to 15 entries.
+constexpr int kMaxVersionEntries = 15;
+// Whole-tray readahead stages at most this many sibling images.
+constexpr std::size_t kReadaheadMaxImages = 16;
+
 // Splits an internal image path "P[#vN][#prevK]" into its components.
 struct ParsedInternalPath {
   std::string global_path;
@@ -201,7 +206,7 @@ sim::Task<Status> Olfs::WriteVersion(std::string path,
   entry.location = LocationKind::kBucket;
   entry.total_size = receipt.total_size;
   entry.parts = receipt.parts;
-  index.AddVersion(std::move(entry), params_.max_version_entries);
+  index.AddVersion(std::move(entry), kMaxVersionEntries);
   if (params_.forepart_enabled) {
     index.set_forepart(std::move(forepart));
   }
@@ -562,7 +567,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadPart(
       // images into the read cache while the tray is still loaded, so the
       // rest of the scan avoids re-fetching it after an eviction.
       if (data.ok() && hint.scan && hint.stream != 0 &&
-          params_.readahead_max_images > 0 && record->disc.has_value()) {
+          record->disc.has_value()) {
         const int tray = record->disc->tray.ToIndex();
         if (readahead_trays_.insert(tray).second) {
           sim_.Spawn(TrackDetached(TrayReadaheadTask(part.image_id, tray)));
@@ -748,7 +753,7 @@ sim::Task<void> Olfs::TrayReadaheadTask(std::string image_id,
       continue;
     }
     siblings.push_back(member);
-    if (static_cast<int>(siblings.size()) >= params_.readahead_max_images) {
+    if (siblings.size() >= kReadaheadMaxImages) {
       break;
     }
   }
@@ -950,7 +955,7 @@ sim::Task<Status> Olfs::Unlink(std::string path) {
   co_await ChargeOp("unlink");
   VersionEntry tombstone;
   tombstone.tombstone = true;
-  index->AddVersion(std::move(tombstone), params_.max_version_entries);
+  index->AddVersion(std::move(tombstone), kMaxVersionEntries);
   co_return co_await mv_->Put(*index);
 }
 
@@ -1471,7 +1476,7 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
       } else {
         entry.tombstone = true;  // placeholder for a lost version
       }
-      index.AddVersion(std::move(entry), params_.max_version_entries);
+      index.AddVersion(std::move(entry), kMaxVersionEntries);
       report.files_recovered += (it != versions.end()) ? 1 : 0;
     }
     ROS_CO_RETURN_IF_ERROR(co_await mv_->Put(index));

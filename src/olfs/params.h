@@ -40,13 +40,6 @@ struct OlfsParams {
   std::uint64_t disc_capacity_override = 0;
   int parity_images = 1;
 
-  // Preliminary bucket writing (§4.3): number of pre-created empty buckets
-  // kept ready ("a couple of updatable buckets").
-  int free_bucket_pool = 4;
-
-  // Versioned updates (§4.6): a 1 KiB index block stores up to 15 entries.
-  int max_version_entries = 15;
-
   // Forepart-data-stored mechanism (§4.8): first bytes of each file kept in
   // MV so reads can answer within ~2 ms while a disc is fetched.
   bool forepart_enabled = false;
@@ -75,9 +68,9 @@ struct OlfsParams {
   //   - Tray prefetch: the per-stream successor model enqueues speculative
   //     loads through the FetchScheduler's background class.
   //   - Whole-tray readahead: a scan-hinted read stages up to
-  //     `readahead_max_images` burned siblings of the fetched tray into
-  //     the read cache's probationary segment (0 disables).
-  int readahead_max_images = 16;
+  //     kReadaheadMaxImages (olfs.cc) burned siblings of the fetched tray
+  //     into the read cache's probationary segment.
+  //
   // How many closed images beyond the array quota to accumulate before
   // forming an affinity-clustered burn batch. A batch formed the moment
   // the quota is reached (the close-order timing) leaves the clusterer no

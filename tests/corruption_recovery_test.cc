@@ -13,6 +13,7 @@
 #include "src/disk/block_device.h"
 #include "src/olfs/index_file.h"
 #include "src/olfs/metadata_volume.h"
+#include "src/olfs/mv_file_store.h"
 #include "src/sim/simulator.h"
 #include "src/udf/serializer.h"
 
@@ -214,10 +215,10 @@ class MvCorruptionTest : public ::testing::Test {
   MvCorruptionTest()
       : device_(sim_, "ssd", 64 * kMiB, disk::SsdPerf()),
         volume_(sim_, &device_, disk::MetadataVolumeParams()),
-        mv_(&volume_) {}
+        mv_(sim_, &volume_, MetadataVolume::Options{}) {}
 
   void WriteRaw(const std::string& path, const std::string& content) {
-    const std::string name = MetadataVolume::IndexName(path);
+    const std::string name = FileMvStore::IndexName(path);
     if (!volume_.Exists(name)) {
       ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create(name)).ok());
     }

@@ -6,17 +6,19 @@
 #include <memory>
 
 #include "src/disk/block_device.h"
+#include "src/olfs/mv_file_store.h"
 #include "src/sim/simulator.h"
 
 namespace ros::olfs {
 namespace {
 
-class MetadataVolumeTest : public ::testing::Test {
+class MvFixture : public ::testing::Test {
  protected:
-  MetadataVolumeTest()
+  explicit MvFixture(bool log_structured)
       : device_(sim_, "ssd", 64 * kMiB, disk::SsdPerf()),
         volume_(sim_, &device_, disk::MetadataVolumeParams()),
-        mv_(&volume_) {}
+        mv_(sim_, &volume_,
+            MetadataVolume::Options{.log_structured = log_structured}) {}
 
   IndexFile FileIndex(const std::string& path, std::uint64_t size) {
     IndexFile index(path, EntryType::kFile);
@@ -33,7 +35,25 @@ class MetadataVolumeTest : public ::testing::Test {
   MetadataVolume mv_;
 };
 
-TEST_F(MetadataVolumeTest, PutGetRoundTrip) {
+// Runs on both stores: the parameter is Options::log_structured.
+class MetadataVolumeTest : public MvFixture,
+                           public ::testing::WithParamInterface<bool> {
+ protected:
+  MetadataVolumeTest() : MvFixture(GetParam()) {}
+};
+
+INSTANTIATE_TEST_SUITE_P(Stores, MetadataVolumeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Log" : "File";
+                         });
+
+// Cases that write the file store's "/idx" files behind the MV's back.
+class FileMetadataVolumeTest : public MvFixture {
+ protected:
+  FileMetadataVolumeTest() : MvFixture(false) {}
+};
+
+TEST_P(MetadataVolumeTest, PutGetRoundTrip) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/a/b", 123))).ok());
   EXPECT_TRUE(mv_.Exists("/a/b"));
   auto index = sim_.RunUntilComplete(mv_.Get("/a/b"));
@@ -42,7 +62,7 @@ TEST_F(MetadataVolumeTest, PutGetRoundTrip) {
   EXPECT_EQ((*index->Latest())->total_size, 123u);
 }
 
-TEST_F(MetadataVolumeTest, PutOverwritesInPlace) {
+TEST_P(MetadataVolumeTest, PutOverwritesInPlace) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/f", 1))).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/f", 2))).ok());
   auto index = sim_.RunUntilComplete(mv_.Get("/f"));
@@ -51,20 +71,20 @@ TEST_F(MetadataVolumeTest, PutOverwritesInPlace) {
   EXPECT_EQ(mv_.index_count(), 1u);
 }
 
-TEST_F(MetadataVolumeTest, GetMissingFails) {
+TEST_P(MetadataVolumeTest, GetMissingFails) {
   EXPECT_EQ(sim_.RunUntilComplete(mv_.Get("/nope")).status().code(),
             StatusCode::kNotFound);
 }
 
-TEST_F(MetadataVolumeTest, RemoveDeletesIndex) {
+TEST_P(MetadataVolumeTest, RemoveDeletesIndex) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/f", 1))).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Remove("/f")).ok());
   EXPECT_FALSE(mv_.Exists("/f"));
 }
 
-TEST_F(MetadataVolumeTest, ListChildrenDirectOnly) {
+TEST_P(MetadataVolumeTest, ListChildrenDirectOnly) {
   for (const char* path : {"/d", "/d/x", "/d/y", "/d/sub", "/d/sub/deep",
-                           "/other"}) {
+                           "/d/sub/b/deeper", "/other"}) {
     IndexFile index(path, EntryType::kDirectory);
     ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(index)).ok());
   }
@@ -73,9 +93,13 @@ TEST_F(MetadataVolumeTest, ListChildrenDirectOnly) {
   EXPECT_EQ(mv_.ListChildren("/"),
             (std::vector<std::string>{"d", "other"}));
   EXPECT_TRUE(mv_.ListChildren("/d/x").empty());
+  // "/d/sub/b" has no entry of its own: descendants alone do not make it
+  // a child, and its subtree is skipped with one seek.
+  EXPECT_EQ(mv_.ListChildren("/d/sub"), (std::vector<std::string>{"deep"}));
+  EXPECT_TRUE(mv_.ListChildren("/nope").empty());
 }
 
-TEST_F(MetadataVolumeTest, SystemStateRoundTrip) {
+TEST_P(MetadataVolumeTest, SystemStateRoundTrip) {
   json::Object state;
   state["arrays_burned"] = json::Value(7);
   ASSERT_TRUE(sim_.RunUntilComplete(
@@ -95,7 +119,7 @@ TEST_F(MetadataVolumeTest, SystemStateRoundTrip) {
   EXPECT_EQ((*loaded)["arrays_burned"].as_int(), 8);
 }
 
-TEST_F(MetadataVolumeTest, SnapshotRoundTripRestoresNamespace) {
+TEST_P(MetadataVolumeTest, SnapshotRoundTripRestoresNamespace) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/p/a", 10))).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/p/b", 20))).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(
@@ -115,7 +139,7 @@ TEST_F(MetadataVolumeTest, SnapshotRoundTripRestoresNamespace) {
   EXPECT_EQ((*index->Latest())->total_size, 20u);
 }
 
-TEST_F(MetadataVolumeTest, SnapshotHandlesDirectoryChildCollision) {
+TEST_P(MetadataVolumeTest, SnapshotHandlesDirectoryChildCollision) {
   // A directory index file and its children must coexist in the snapshot
   // (regression: the "#idx" suffix prevents path collisions).
   ASSERT_TRUE(sim_.RunUntilComplete(
@@ -126,14 +150,14 @@ TEST_F(MetadataVolumeTest, SnapshotHandlesDirectoryChildCollision) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 }
 
-TEST_F(MetadataVolumeTest, AllPathsSorted) {
+TEST_P(MetadataVolumeTest, AllPathsSorted) {
   for (const char* path : {"/z", "/a", "/m/k"}) {
     ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex(path, 1))).ok());
   }
   EXPECT_EQ(mv_.AllPaths(), (std::vector<std::string>{"/a", "/m/k", "/z"}));
 }
 
-TEST_F(MetadataVolumeTest, HasChildrenMatchesListChildren) {
+TEST_P(MetadataVolumeTest, HasChildrenMatchesListChildren) {
   EXPECT_FALSE(mv_.HasChildren("/"));
   ASSERT_TRUE(sim_.RunUntilComplete(
                   mv_.Put(IndexFile("/d", EntryType::kDirectory))).ok());
@@ -147,7 +171,7 @@ TEST_F(MetadataVolumeTest, HasChildrenMatchesListChildren) {
   EXPECT_FALSE(mv_.HasChildren("/d"));
 }
 
-TEST_F(MetadataVolumeTest, PutPublishesToCacheAndGetHits) {
+TEST_P(MetadataVolumeTest, PutPublishesToCacheAndGetHits) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/c", 5))).ok());
   EXPECT_EQ(mv_.cache_size(), 1u);
   const auto before = mv_.cache_stats();
@@ -158,7 +182,7 @@ TEST_F(MetadataVolumeTest, PutPublishesToCacheAndGetHits) {
   EXPECT_EQ(mv_.cache_stats().misses, before.misses);
 }
 
-TEST_F(MetadataVolumeTest, GetRefSharesOneDecodedObject) {
+TEST_P(MetadataVolumeTest, GetRefSharesOneDecodedObject) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/s", 9))).ok());
   auto first = sim_.RunUntilComplete(mv_.GetRef("/s"));
   auto second = sim_.RunUntilComplete(mv_.GetRef("/s"));
@@ -169,7 +193,7 @@ TEST_F(MetadataVolumeTest, GetRefSharesOneDecodedObject) {
   EXPECT_EQ((**first).path(), "/s");
 }
 
-TEST_F(MetadataVolumeTest, GetAndGetRefAgree) {
+TEST_P(MetadataVolumeTest, GetAndGetRefAgree) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/both", 3))).ok());
   auto ref = sim_.RunUntilComplete(mv_.GetRef("/both"));
   auto copy = sim_.RunUntilComplete(mv_.Get("/both"));
@@ -180,7 +204,7 @@ TEST_F(MetadataVolumeTest, GetAndGetRefAgree) {
             StatusCode::kNotFound);
 }
 
-TEST_F(MetadataVolumeTest, DirectVolumeWriteInvalidatesCachedEntry) {
+TEST_F(FileMetadataVolumeTest, DirectVolumeWriteInvalidatesCachedEntry) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/inv", 1))).ok());
   auto warm = sim_.RunUntilComplete(mv_.Get("/inv"));
   ASSERT_TRUE(warm.ok());
@@ -190,7 +214,7 @@ TEST_F(MetadataVolumeTest, DirectVolumeWriteInvalidatesCachedEntry) {
   const std::string doc = FileIndex("/inv", 42).ToJson();
   ASSERT_TRUE(sim_.RunUntilComplete(
                   mv_.volume()->WriteAll(
-                      MetadataVolume::IndexName("/inv"),
+                      FileMvStore::IndexName("/inv"),
                       std::vector<std::uint8_t>(doc.begin(), doc.end())))
                   .ok());
   const auto misses_before = mv_.cache_stats().misses;
@@ -200,7 +224,7 @@ TEST_F(MetadataVolumeTest, DirectVolumeWriteInvalidatesCachedEntry) {
   EXPECT_EQ(mv_.cache_stats().misses, misses_before + 1);
 }
 
-TEST_F(MetadataVolumeTest, RemoveAndWipeDropCachedEntries) {
+TEST_P(MetadataVolumeTest, RemoveAndWipeDropCachedEntries) {
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/r1", 1))).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex("/r2", 2))).ok());
   EXPECT_EQ(mv_.cache_size(), 2u);
@@ -214,7 +238,7 @@ TEST_F(MetadataVolumeTest, RemoveAndWipeDropCachedEntries) {
             StatusCode::kNotFound);
 }
 
-TEST_F(MetadataVolumeTest, RestorePastPerFileFailuresReportsCount) {
+TEST_P(MetadataVolumeTest, RestorePastPerFileFailuresReportsCount) {
   for (const char* path : {"/p/a", "/p/b", "/p/c"}) {
     ASSERT_TRUE(sim_.RunUntilComplete(mv_.Put(FileIndex(path, 7))).ok());
   }
@@ -223,9 +247,9 @@ TEST_F(MetadataVolumeTest, RestorePastPerFileFailuresReportsCount) {
   ASSERT_TRUE(snapshot.ok());
 
   mv_.WipeAll();
-  // Leave the volume with no free space: every restored WriteAll must
-  // fail, and the restore should keep going and report all of it rather
-  // than abort on the first entry.
+  // Leave the volume with no free space: every restored write (an index
+  // file, or a WAL append) must fail, and the restore should keep going
+  // and count each failed entry rather than abort on the first one.
   disk::Volume* volume = mv_.volume();
   ASSERT_TRUE(sim_.RunUntilComplete(volume->Create("/fill")).ok());
   ASSERT_TRUE(sim_.RunUntilComplete(

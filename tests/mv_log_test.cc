@@ -126,7 +126,7 @@ class MvLogWriterTest : public ::testing::Test {
   MvLogWriterTest()
       : device_(sim_, "ssd", 64 * kMiB, disk::SsdPerf()),
         volume_(sim_, &device_, disk::MetadataVolumeParams()),
-        log_(sim_, &volume_, MvLog::Options{}) {}
+        log_(sim_, &volume_) {}
 
   sim::Task<Status> AppendOne(int i) {
     Record record{RecordType::kPut, "i/k" + std::to_string(i),

@@ -155,14 +155,23 @@ TEST(MvSegment, MergeNewestRunWinsAndDropsTombstones) {
                   {RecordType::kRemove, "b", ""},
                   {RecordType::kPut, "c", "only-c"}});
   std::vector<Record> merged;
-  mvseg::MergeSortedRuns(runs, /*drop_tombstones=*/true,
-                         [&merged](Record r) { merged.push_back(std::move(r)); });
+  std::vector<std::pair<std::size_t, std::size_t>> sources;
+  mvseg::MergeSortedRuns(
+      runs, /*drop_tombstones=*/true,
+      [&](Record r, std::size_t run, std::size_t index) {
+        merged.push_back(std::move(r));
+        sources.emplace_back(run, index);
+      });
   const std::vector<Record> want = {
       {RecordType::kPut, "a", "new-a"},
       {RecordType::kPut, "c", "only-c"},
       {RecordType::kPut, "d", "only-d"},
   };
   EXPECT_EQ(merged, want);
+  // Each winner names the run and position it came from.
+  const std::vector<std::pair<std::size_t, std::size_t>> want_sources = {
+      {1, 0}, {1, 2}, {0, 2}};
+  EXPECT_EQ(sources, want_sources);
 }
 
 TEST(MvSegment, MergeKeepsTombstonesWhenAsked) {
@@ -173,7 +182,9 @@ TEST(MvSegment, MergeKeepsTombstonesWhenAsked) {
   runs.push_back({{RecordType::kRemove, "b", ""}});
   std::vector<Record> merged;
   mvseg::MergeSortedRuns(runs, /*drop_tombstones=*/false,
-                         [&merged](Record r) { merged.push_back(std::move(r)); });
+                         [&merged](Record r, std::size_t, std::size_t) {
+                           merged.push_back(std::move(r));
+                         });
   const std::vector<Record> want = {{RecordType::kRemove, "b", ""}};
   EXPECT_EQ(merged, want);
 }

@@ -76,10 +76,13 @@ class MvStoreTest : public ::testing::Test {
       : device_(sim_, "ssd", 256 * kMiB, disk::SsdPerf()),
         volume_(sim_, &device_, disk::MetadataVolumeParams()) {}
 
+  static MetadataVolume::Options LegacyOptions() {
+    return MetadataVolume::Options{.cache_capacity = 16};
+  }
+
   static MetadataVolume::Options LsOptions() {
-    MetadataVolume::Options options;
+    MetadataVolume::Options options = LegacyOptions();
     options.log_structured = true;
-    options.cache_capacity = 16;
     return options;
   }
 
@@ -126,7 +129,7 @@ TEST_F(MvStoreTest, BackendsAgreeOnEveryObserver) {
   // own volume); every read-side observer must agree.
   disk::StorageDevice device2(sim_, "ssd2", 256 * kMiB, disk::SsdPerf());
   disk::Volume volume2(sim_, &device2, disk::MetadataVolumeParams());
-  MetadataVolume legacy(&volume2, /*cache_capacity=*/16);
+  MetadataVolume legacy(sim_, &volume2, LegacyOptions());
   Attach(LsOptions());
 
   ASSERT_TRUE(sim_.RunUntilComplete(PutRange(mv_.get(), 0, 40, 100)).ok());
@@ -335,7 +338,7 @@ TEST_F(MvStoreTest, SnapshotsRestoreAcrossBackends) {
   // and the other way around. The image layout is backend-independent.
   disk::StorageDevice device2(sim_, "ssd2", 256 * kMiB, disk::SsdPerf());
   disk::Volume volume2(sim_, &device2, disk::MetadataVolumeParams());
-  MetadataVolume legacy(&volume2, /*cache_capacity=*/16);
+  MetadataVolume legacy(sim_, &volume2, LegacyOptions());
   Attach(LsOptions());
 
   ASSERT_TRUE(sim_.RunUntilComplete(PutRange(&legacy, 0, 25, 100)).ok());

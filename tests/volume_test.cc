@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "src/common/rng.h"
@@ -188,21 +190,19 @@ TEST_F(VolumeTest, ForEachPrefixVisitsInOrderWithSizes) {
   EXPECT_EQ(seen[1], (std::pair<std::string, std::uint64_t>{"/p/b", 0u}));
 }
 
-TEST_F(VolumeTest, ListChildrenSkipsSubtrees) {
-  // A child is a name that exists itself (the MV gives every directory its
-  // own index file); names deeper under it are skipped as one subtree.
-  for (const char* name : {"/d", "/d/file", "/d/sub", "/d/sub/a",
-                           "/d/sub/b/deep", "/d/zzz", "/e"}) {
+TEST_F(VolumeTest, FirstWithPrefixSeeksInOrder) {
+  for (const char* name : {"/c", "/d/file", "/d/sub", "/d/sub/a", "/e"}) {
     ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create(name)).ok());
   }
-  EXPECT_EQ(volume_.ListChildren("/d/"),
-            (std::vector<std::string>{"file", "sub", "zzz"}));
-  EXPECT_EQ(volume_.ListChildren("/"), (std::vector<std::string>{"d", "e"}));
-  // "/d/sub/b" never existed as its own name: descendants alone do not
-  // make it a child, and the whole "/d/sub/b/..." subtree costs one seek.
-  EXPECT_EQ(volume_.ListChildren("/d/sub/"),
-            (std::vector<std::string>{"a"}));
-  EXPECT_TRUE(volume_.ListChildren("/nope/").empty());
+  using Next = std::optional<std::string>;
+  // Any `from` below the prefix starts at the first match.
+  EXPECT_EQ(volume_.FirstWithPrefix("/d/", ""), Next("/d/file"));
+  EXPECT_EQ(volume_.FirstWithPrefix("/d/", "/d/sub"), Next("/d/sub"));
+  EXPECT_EQ(volume_.FirstWithPrefix("/d/", std::string("/d/sub\0", 7)),
+            Next("/d/sub/a"));
+  // Past the prefix's last name: "/e" sorts next but does not match.
+  EXPECT_EQ(volume_.FirstWithPrefix("/d/", "/d/sub0"), std::nullopt);
+  EXPECT_EQ(volume_.FirstWithPrefix("/x/", ""), std::nullopt);
 }
 
 TEST_F(VolumeTest, WriteGenerationsMonotonicAndNeverReused) {

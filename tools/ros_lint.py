@@ -68,6 +68,18 @@ leans on but the compiler cannot fully check:
                       justified demand-priority call carries an inline
                       `// ros-lint: allow(speculative-fetch): <why>`.
 
+  coawait-in-conditional
+                      A co_await inside an operand of the ?: conditional
+                      operator (condition or either branch). GCC 12
+                      miscompiles the lifetime of the awaited result's
+                      temporaries there: a Status was freed against a
+                      frame-interior pointer twice before ASan caught it.
+                      Await into a named local, or branch with if/else.
+                      `if (co_await ...)` is not the hazard and is not
+                      flagged; neither is a ternary inside the awaited
+                      call's arguments or a co_await in a lambda body
+                      nested in an operand (a separate coroutine).
+
 Usage:
     tools/ros_lint.py [paths...]          # default: src/ of the repo root
     tools/ros_lint.py --list-status-fns   # debug: dump the Status fn set
@@ -114,6 +126,7 @@ RULES = (
     "retry-unclassified",
     "acquire-bay",
     "speculative-fetch",
+    "coawait-in-conditional",
 )
 
 @dataclass
@@ -448,6 +461,67 @@ class FileLint:
                 "annotate with ros-lint: allow(speculative-fetch)",
             )
 
+    # --- rule: coawait-in-conditional -----------------------------------
+
+    CO_AWAIT_RE = re.compile(r"(?<!\w)co_await(?!\w)")
+
+    def conditional_extent(self, q: int) -> tuple[int, int]:
+        """[start, end) of the conditional expression whose `?` is at
+        index `q`: out to the nearest unmatched bracket, or a `,` / `;` at
+        the same nesting level, on each side (?: binds tighter than `,`)."""
+        text = self.stripped
+        depth = 0
+        start = q
+        while start > 0:
+            c = text[start - 1]
+            if c in ")]}":
+                depth += 1
+            elif c in "([{":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif c in ",;" and depth == 0:
+                break
+            start -= 1
+        depth = 0
+        end = q + 1
+        while end < len(text):
+            c = text[end]
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif c in ",;" and depth == 0:
+                break
+            end += 1
+        return start, end
+
+    def check_coawait_in_conditional(self) -> None:
+        flagged: set[int] = set()
+        for q in (i for i, c in enumerate(self.stripped) if c == "?"):
+            start, end = self.conditional_extent(q)
+            region = self.stripped[start:end]
+            for m in self.CO_AWAIT_RE.finditer(region):
+                # A brace block nested in an operand is a lambda body: its
+                # co_awaits belong to another coroutine.
+                before = region[: m.start()]
+                if before.count("{") > before.count("}"):
+                    continue
+                index = start + m.start()
+                if index in flagged:
+                    continue  # nested ternaries share their co_awaits
+                flagged.add(index)
+                self.report(
+                    index,
+                    "coawait-in-conditional",
+                    "co_await inside a ?: operand — GCC miscompiles the "
+                    "awaited result's temporaries there; await into a "
+                    "named local (or use if/else) first, or annotate with "
+                    "ros-lint: allow(coawait-in-conditional)",
+                )
+
     def run(self) -> list[Finding]:
         self.check_discarded_status()
         self.check_coro_ref_param()
@@ -457,6 +531,7 @@ class FileLint:
         self.check_retry_unclassified()
         self.check_acquire_bay()
         self.check_speculative_fetch()
+        self.check_coawait_in_conditional()
         return self.findings
 
 

@@ -442,6 +442,62 @@ class SpeculativeFetchTest(unittest.TestCase):
         self.assertNotIn("speculative-fetch", rules)
 
 
+class CoawaitInConditionalTest(unittest.TestCase):
+    @staticmethod
+    def rules(body):
+        src = "sim::Task<int> f() {\n" + body + "  co_return 0;\n}\n"
+        return [(r, line) for r, line in lint_source(src)
+                if r == "coawait-in-conditional"]
+
+    def test_flags_either_branch(self):
+        self.assertEqual(
+            self.rules("  Status s = ok ? co_await A() : OkStatus();\n"),
+            [("coawait-in-conditional", 2)])
+        self.assertEqual(
+            self.rules("  Status s = ok ? OkStatus()\n"
+                       "                : co_await B();\n"),
+            [("coawait-in-conditional", 3)])
+
+    def test_flags_condition_and_nested_call_argument(self):
+        self.assertEqual(
+            self.rules("  int x = (co_await Ready()) ? 1 : 2;\n"),
+            [("coawait-in-conditional", 2)])
+        self.assertEqual(
+            self.rules("  Use(ok ? Wrap(co_await A()) : 0);\n"),
+            [("coawait-in-conditional", 2)])
+
+    def test_nested_ternaries_report_once(self):
+        self.assertEqual(
+            self.rules("  int x = a ? (b ? co_await A() : 1) : 2;\n"),
+            [("coawait-in-conditional", 2)])
+
+    def test_if_condition_is_not_the_hazard(self):
+        self.assertEqual(
+            self.rules("  if (co_await Ready()) {\n"
+                       "    y = a ? b : c;\n"
+                       "  }\n"
+                       "  while (!(co_await Done())) {}\n"), [])
+
+    def test_ternary_outside_the_awaited_operand_is_clean(self):
+        # Inside the awaited call's arguments, in a sibling argument, or
+        # in another statement, the co_await is no ?: operand.
+        self.assertEqual(
+            self.rules("  Status s = co_await Foo(a ? 1 : 2);\n"
+                       "  Bar(co_await X(), b ? c : d);\n"
+                       "  int n = a ? 1 : 2; co_await Y();\n"), [])
+
+    def test_lambda_body_in_an_operand_is_another_coroutine(self):
+        self.assertEqual(
+            self.rules("  auto t = ok ? [p]() -> sim::Task<int> {\n"
+                       "    co_return co_await p->X();\n"
+                       "  } : Other();\n"), [])
+
+    def test_inline_allow_suppresses(self):
+        self.assertEqual(
+            self.rules("  // ros-lint: allow(coawait-in-conditional): why\n"
+                       "  int x = ok ? co_await A() : 0;\n"), [])
+
+
 class AllowlistTest(unittest.TestCase):
     def test_allowlist_file_filters_by_suffix_and_rule(self):
         with tempfile.TemporaryDirectory() as tmp:
