@@ -7,9 +7,11 @@
 //      "speedup":...,"identical":true}, ...]}
 //
 // Rows: the GF(2^8) parity kernels (word-sliced / split-nibble tier), the
-// CRC-32 that checksums every image stream (bytewise vs slicing-by-8), and
-// audit-leaf hashing (a per-leaf Fnv1a64 loop vs AuditLeafHashes; FNV-1a
-// is a serial chain, so this row has no faster tier and tracks cost only).
+// CRC-32 that checksums every image stream (bytewise vs the dispatched
+// Crc32, which is the PCLMULQDQ tier where the CPU has it; `crc32_sliced`
+// keeps the portable slicing-by-8 tier timed and checked on such hosts),
+// and audit-leaf hashing (a per-leaf Fnv1a64 loop vs AuditLeafHashes'
+// interleaved chains).
 //
 // Each pair also runs a differential check (same inputs through both tiers
 // must produce identical output), so a reported speedup can never come
@@ -178,35 +180,45 @@ int main() {
   }
 
   {
-    // Odd lengths and a seed exercise the sliced loop's tail and chaining.
-    KernelResult r{.kernel = "crc32"};
+    // Odd lengths and a seed exercise each tier's tail and chaining.
     const std::span<const std::uint8_t> odd(in.data() + 3, in.size() - 10);
-    r.identical = Crc32(in) == Crc32Bytewise(in) &&
-                  Crc32(odd, 0x1234u) == Crc32Bytewise(odd, 0x1234u);
-    volatile std::uint32_t sink = 0;  // keeps the pure calls alive
-    r.scalar_mb_s =
-        MeasureMbPerSec(kBufferBytes, [&] { sink = Crc32Bytewise(in); });
-    r.sliced_mb_s = MeasureMbPerSec(kBufferBytes, [&] { sink = Crc32(in); });
-    results.push_back(r);
+    auto crc_row = [&](std::string kernel, auto crc) {
+      KernelResult r{.kernel = std::move(kernel)};
+      r.identical = crc(in, 0) == Crc32Bytewise(in) &&
+                    crc(odd, 0x1234u) == Crc32Bytewise(odd, 0x1234u);
+      volatile std::uint32_t sink = 0;  // keeps the pure calls alive
+      r.scalar_mb_s =
+          MeasureMbPerSec(kBufferBytes, [&] { sink = Crc32Bytewise(in); });
+      r.sliced_mb_s = MeasureMbPerSec(kBufferBytes, [&] { sink = crc(in, 0); });
+      results.push_back(r);
+    };
+    crc_row("crc32", &Crc32);
+    crc_row("crc32_sliced", &internal::Crc32Sliced);
   }
 
   {
+    // 7.5 leaves and 6 leaves plus 5 bytes: whole groups of four, a group
+    // whose last leaf is short, and a group of three.
     KernelResult r{.kernel = "audit_leaf"};
     const std::uint64_t leaf = olfs::OlfsParams{}.audit_leaf_bytes;
-    auto per_leaf = [&] {
+    const Buffer leaf_in = RandomBuffer(7 * leaf + leaf / 2 + 3, 4);
+    auto per_leaf = [&](std::span<const std::uint8_t> data) {
       std::vector<std::uint64_t> leaves;
-      for (std::size_t at = 0; at < in.size(); at += leaf) {
-        const std::size_t n = std::min<std::size_t>(leaf, in.size() - at);
-        leaves.push_back(Fnv1a64({in.data() + at, n}));
+      for (std::size_t at = 0; at < data.size(); at += leaf) {
+        const std::size_t n = std::min<std::size_t>(leaf, data.size() - at);
+        leaves.push_back(Fnv1a64(data.subspan(at, n)));
       }
       return leaves;
     };
-    r.identical = per_leaf() == olfs::AuditLeafHashes(in, leaf);
+    const std::span<const std::uint8_t> leftover(leaf_in.data(),
+                                                 6 * leaf + 5);
+    r.identical = per_leaf(leaf_in) == olfs::AuditLeafHashes(leaf_in, leaf) &&
+                  per_leaf(leftover) == olfs::AuditLeafHashes(leftover, leaf);
     volatile std::uint64_t sink = 0;
-    r.scalar_mb_s =
-        MeasureMbPerSec(kBufferBytes, [&] { sink = per_leaf().back(); });
-    r.sliced_mb_s = MeasureMbPerSec(kBufferBytes, [&] {
-      sink = olfs::AuditLeafHashes(in, leaf).back();
+    r.scalar_mb_s = MeasureMbPerSec(
+        leaf_in.size(), [&] { sink = per_leaf(leaf_in).back(); });
+    r.sliced_mb_s = MeasureMbPerSec(leaf_in.size(), [&] {
+      sink = olfs::AuditLeafHashes(leaf_in, leaf).back();
     });
     results.push_back(r);
   }

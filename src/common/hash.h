@@ -1,7 +1,9 @@
 // Checksums and fingerprints. CRC-32 guards every durable byte format:
 // serialized UDF image streams (src/udf/serializer.cc), audit manifests
 // (src/olfs/audit.cc), and the MV's write-ahead log records and segment
-// files (src/olfs/mv_log.cc, src/olfs/mv_segment.cc).
+// files (src/olfs/mv_log.cc, src/olfs/mv_segment.cc). FNV-1a is the audit
+// manifest's leaf and Merkle-node hash, so it too is part of a durable
+// format (manifest v1, "ROSAUDT1").
 #ifndef ROS_SRC_COMMON_HASH_H_
 #define ROS_SRC_COMMON_HASH_H_
 
@@ -49,12 +51,14 @@ inline std::uint32_t Crc32Bytewise(std::span<const std::uint8_t> data,
   return c ^ 0xFFFFFFFFu;
 }
 
-// Standard CRC-32 (IEEE 802.3), slicing-by-8: bit-identical to
-// Crc32Bytewise. Chains: Crc32(b, Crc32(a)) == Crc32(a followed by b).
-// Detects media bit-rot and torn records; not a cryptographic hash.
-inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
-                           std::uint32_t seed = 0) {
-  const auto& t = internal::kCrc32Tables;
+namespace internal {
+
+// Portable tier: slicing-by-8, bit-identical to Crc32Bytewise. The whole
+// path on non-x86 builds and CPUs without PCLMULQDQ, and the tail of
+// every input on the PCLMULQDQ tier.
+inline std::uint32_t Crc32Sliced(std::span<const std::uint8_t> data,
+                                 std::uint32_t seed = 0) {
+  const auto& t = kCrc32Tables;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
@@ -80,12 +84,43 @@ inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
   return c ^ 0xFFFFFFFFu;
 }
 
-// 64-bit FNV-1a, used for content fingerprints in tests.
-inline std::uint64_t Fnv1a64(std::span<const std::uint8_t> data) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+// PCLMULQDQ tier (crc32_clmul.cc, the only translation unit built with
+// -mpclmul -msse4.1): carry-less-multiply folding of the 16-byte-multiple
+// prefix of inputs of kCrc32ClmulMinBytes or more, then Crc32Sliced for
+// the tail. Crc32Clmul accepts any length and is bit-identical to
+// Crc32Sliced, but may only be called when Crc32ClmulAvailable(), the
+// run-time CPU check (always false on non-x86 builds).
+inline constexpr std::size_t kCrc32ClmulMinBytes = 64;
+bool Crc32ClmulAvailable();
+std::uint32_t Crc32Clmul(std::span<const std::uint8_t> data,
+                         std::uint32_t seed = 0);
+
+}  // namespace internal
+
+// Standard CRC-32 (IEEE 802.3): bit-identical to Crc32Bytewise on every
+// tier. Chains: Crc32(b, Crc32(a)) == Crc32(a followed by b). Detects
+// media bit-rot and torn records; not a cryptographic hash.
+inline std::uint32_t Crc32(std::span<const std::uint8_t> data,
+                           std::uint32_t seed = 0) {
+  if (data.size() >= internal::kCrc32ClmulMinBytes &&
+      internal::Crc32ClmulAvailable()) {
+    return internal::Crc32Clmul(data, seed);
+  }
+  return internal::Crc32Sliced(data, seed);
+}
+
+inline constexpr std::uint64_t kFnv1a64Basis = 0xCBF29CE484222325ull;
+inline constexpr std::uint64_t kFnv1a64Prime = 0x100000001B3ull;
+
+// 64-bit FNV-1a. Durable: the audit manifest's leaf and Merkle-node hash
+// (src/olfs/audit.cc). Also the placement shard hash, the fetch-dedup key
+// and the benches' content fingerprints. Chains like Crc32:
+// Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a followed by b).
+inline std::uint64_t Fnv1a64(std::span<const std::uint8_t> data,
+                             std::uint64_t h = kFnv1a64Basis) {
   for (std::uint8_t byte : data) {
     h ^= byte;
-    h *= 0x100000001B3ull;
+    h *= kFnv1a64Prime;
   }
   return h;
 }

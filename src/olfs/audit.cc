@@ -115,11 +115,45 @@ std::vector<std::uint64_t> AuditLeafHashes(
   if (leaf_bytes == 0) {
     return leaves;
   }
-  for (std::size_t at = 0; at < stream.size();
-       at += static_cast<std::size_t>(leaf_bytes)) {
-    const std::size_t n = std::min<std::size_t>(
-        static_cast<std::size_t>(leaf_bytes), stream.size() - at);
-    leaves.push_back(AuditHashLeaf(stream.subspan(at, n)));
+  const auto leaf = static_cast<std::size_t>(leaf_bytes);
+  leaves.reserve(stream.size() / leaf + (stream.size() % leaf != 0));
+  std::size_t at = 0;
+  // Up to four consecutive leaves at a time. FNV-1a is a serial multiply
+  // chain, so one leaf runs at the multiplier's latency; four independent
+  // chains keep it busy. Only the stream's last leaf can be short, so the
+  // group's last leaf bounds the interleaved prefix and the others finish
+  // their tails serially. A group of two or three leaves points its spare
+  // chains at its last leaf again: they cost almost nothing, while
+  // two-leaf images would otherwise hash at serial speed.
+  while (stream.size() - at > leaf) {
+    const std::size_t left = stream.size() - at;
+    const std::size_t count =
+        std::min<std::size_t>(4, left / leaf + (left % leaf != 0));
+    const std::size_t common = std::min(leaf, left - (count - 1) * leaf);
+    const std::uint8_t* p0 = stream.data() + at;
+    const std::uint8_t* p1 = p0 + leaf;
+    const std::uint8_t* p2 = count > 2 ? p1 + leaf : p1;
+    const std::uint8_t* p3 = count > 3 ? p2 + leaf : p2;
+    std::uint64_t h0 = kFnv1a64Basis;
+    std::uint64_t h1 = kFnv1a64Basis;
+    std::uint64_t h2 = kFnv1a64Basis;
+    std::uint64_t h3 = kFnv1a64Basis;
+    for (std::size_t i = 0; i < common; ++i) {
+      h0 = (h0 ^ p0[i]) * kFnv1a64Prime;
+      h1 = (h1 ^ p1[i]) * kFnv1a64Prime;
+      h2 = (h2 ^ p2[i]) * kFnv1a64Prime;
+      h3 = (h3 ^ p3[i]) * kFnv1a64Prime;
+    }
+    const std::uint64_t chains[4] = {h0, h1, h2, h3};
+    for (std::size_t k = 0; k + 1 < count; ++k) {
+      leaves.push_back(Fnv1a64(
+          stream.subspan(at + k * leaf + common, leaf - common), chains[k]));
+    }
+    leaves.push_back(chains[count - 1]);
+    at += (count - 1) * leaf + common;
+  }
+  if (at < stream.size()) {
+    leaves.push_back(AuditHashLeaf(stream.subspan(at)));
   }
   return leaves;
 }
@@ -128,7 +162,7 @@ std::uint64_t AuditMerkleRoot(const std::vector<std::uint64_t>& leaves) {
   if (leaves.empty()) {
     // Root of nothing: FNV-1a offset basis, so empty members still chain
     // into the array root deterministically.
-    return 0xCBF29CE484222325ull;
+    return kFnv1a64Basis;
   }
   std::vector<std::uint64_t> level = leaves;
   while (level.size() > 1) {

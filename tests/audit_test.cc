@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,6 +63,28 @@ TEST(AuditMerkle, LeafHashingCoversEveryChunkBoundary) {
   EXPECT_EQ(AuditLeafHashes(view.subspan(0, 2048), 1024).size(), 2u);
   // leaf_bytes=0 is the disabled configuration: no leaves at all.
   EXPECT_TRUE(AuditLeafHashes(view, 0).empty());
+}
+
+TEST(AuditMerkle, InterleavedLeafHashesMatchPerLeafLoop) {
+  // AuditLeafHashes hashes up to four leaves at a time; the lengths cover
+  // groups of two, three and four, a short last leaf inside a group (its
+  // siblings finish their tails serially) and one leaf left on its own.
+  for (const std::size_t leaf : {std::size_t{1}, std::size_t{3},
+                                 std::size_t{64}, std::size_t{256} << 10}) {
+    const auto stream = RandomBytes(9 * leaf + 7, leaf);
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, leaf - 1, leaf, leaf + 1, 3 * leaf,
+          4 * leaf - 1, 4 * leaf, 4 * leaf + 1, 9 * leaf + 7}) {
+      const std::span<const std::uint8_t> view(stream.data(), len);
+      std::vector<std::uint64_t> expected;
+      for (std::size_t at = 0; at < len; at += leaf) {
+        expected.push_back(
+            AuditHashLeaf(view.subspan(at, std::min(leaf, len - at))));
+      }
+      EXPECT_EQ(AuditLeafHashes(view, leaf), expected)
+          << "leaf " << leaf << " len " << len;
+    }
+  }
 }
 
 TEST(AuditMerkle, RootPropertiesHoldForAllShapes) {

@@ -43,9 +43,13 @@ TEST(Crc32, SeedChaining) {
             Crc32(Bytes("hello world")));
 }
 
-TEST(Crc32, SlicedMatchesBytewiseReference) {
-  // Every length 0..4096 at every start offset 0..7 (so the 8-byte loop
-  // sees every alignment and every tail length), each from a fresh seed.
+using Crc32Tier = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                     std::uint32_t);
+
+// Every length 0..4096 at every start offset 0..7 (so the 8-byte and
+// 16-byte loops see every alignment and every tail length), each from a
+// fresh seed, plus the chaining property at a spread of split points.
+void ExpectMatchesBytewise(Crc32Tier crc) {
   Rng rng(7);
   std::vector<std::uint8_t> buf(4096 + 8);
   for (auto& b : buf) {
@@ -55,18 +59,43 @@ TEST(Crc32, SlicedMatchesBytewiseReference) {
     for (std::size_t len = 0; len <= 4096; ++len) {
       const std::span<const std::uint8_t> data(buf.data() + offset, len);
       const auto seed = static_cast<std::uint32_t>(rng.Next());
-      ASSERT_EQ(Crc32(data, seed), Crc32Bytewise(data, seed))
+      ASSERT_EQ(crc(data, seed), Crc32Bytewise(data, seed))
           << "offset " << offset << " len " << len << " seed " << seed;
-      ASSERT_EQ(Crc32(data), Crc32Bytewise(data))
+      ASSERT_EQ(crc(data, 0), Crc32Bytewise(data))
           << "offset " << offset << " len " << len;
     }
   }
+  const std::span<const std::uint8_t> all(buf.data(), 4096);
+  const std::uint32_t whole = Crc32Bytewise(all);
+  for (std::size_t split = 0; split <= all.size(); split += 61) {
+    ASSERT_EQ(crc(all.subspan(split), crc(all.first(split), 0)), whole)
+        << "split " << split;
+  }
+}
+
+TEST(Crc32, SlicedTierMatchesBytewiseReference) {
+  ExpectMatchesBytewise(&internal::Crc32Sliced);
+}
+
+TEST(Crc32, ClmulTierMatchesBytewiseReference) {
+  if (!internal::Crc32ClmulAvailable()) {
+    GTEST_SKIP() << "CPU or build lacks PCLMULQDQ + SSE4.1; Crc32 runs "
+                    "the slicing-by-8 tier";
+  }
+  ExpectMatchesBytewise(&internal::Crc32Clmul);
+}
+
+TEST(Crc32, DispatchedMatchesBytewiseReference) {
+  ExpectMatchesBytewise(&Crc32);
 }
 
 TEST(Fnv1a64, StableAndSensitive) {
   EXPECT_EQ(Fnv1a64(Bytes("")), 0xCBF29CE484222325ull);
   EXPECT_NE(Fnv1a64(Bytes("abc")), Fnv1a64(Bytes("abd")));
   EXPECT_EQ(Fnv1a64(Bytes("abc")), Fnv1a64(Bytes("abc")));
+  // The audit leaf kernel finishes interleaved chains through the seed.
+  EXPECT_EQ(Fnv1a64(Bytes("def"), Fnv1a64(Bytes("abc"))),
+            Fnv1a64(Bytes("abcdef")));
 }
 
 }  // namespace

@@ -43,8 +43,8 @@ class MetadataVolumeTest : public MvFixture,
 };
 
 INSTANTIATE_TEST_SUITE_P(Stores, MetadataVolumeTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Log" : "File";
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return param_info.param ? "Log" : "File";
                          });
 
 // Cases that write the file store's "/idx" files behind the MV's back.

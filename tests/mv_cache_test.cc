@@ -115,8 +115,8 @@ sim::Task<std::string> ApplyOp(MetadataVolume* mv, int op, std::string path,
 class MvCacheTest : public ::testing::TestWithParam<bool> {};
 
 INSTANTIATE_TEST_SUITE_P(Stores, MvCacheTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Log" : "File";
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return param_info.param ? "Log" : "File";
                          });
 
 TEST_P(MvCacheTest, RandomizedOpsMatchCacheDisabledStack) {

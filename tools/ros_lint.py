@@ -80,6 +80,19 @@ leans on but the compiler cannot fully check:
                       call's arguments or a co_await in a lambda body
                       nested in an operand (a separate coroutine).
 
+  coawait-temporary-arg
+                      A brace-initialized temporary (`T{...}`) or a lambda
+                      expression inside the argument list of a co_await
+                      operand. GCC 12 frees such a temporary twice when it
+                      has a destructor: a `mvlog::Record{...}` passed to
+                      `co_await log_.Append(...)` and a lambda converted to
+                      `std::function` both did, and ASan caught them. Build
+                      the argument into a named local first and pass that.
+                      A bare braced list (`Execute({.op = ...})`) names no
+                      type the checker could see and is not flagged;
+                      neither is a temporary in a call that is not the
+                      awaited operand.
+
 Usage:
     tools/ros_lint.py [paths...]          # default: src/ of the repo root
     tools/ros_lint.py --list-status-fns   # debug: dump the Status fn set
@@ -127,6 +140,7 @@ RULES = (
     "acquire-bay",
     "speculative-fetch",
     "coawait-in-conditional",
+    "coawait-temporary-arg",
 )
 
 @dataclass
@@ -522,6 +536,106 @@ class FileLint:
                     "ros-lint: allow(coawait-in-conditional)",
                 )
 
+    # --- rule: coawait-temporary-arg ------------------------------------
+
+    NAME_RE = re.compile(r"\w+")
+    CALL_OR_SCOPE_RE = re.compile(r"[ \t\n]*(?:\(|::)")
+    # A type name (or the `>` closing its template arguments) opening a
+    # braced initializer.
+    BRACE_TEMP_RE = re.compile(r"[\w>][ \t\n]*\{")
+
+    def operand_arg_lists(self, index: int) -> list[tuple[int, int]]:
+        """[open, close) of every parenthesized group in the postfix
+        expression that starts at `index`, the operand of a co_await:
+        names joined by `.`, `->` and `::`, explicit template arguments,
+        subscripts and call argument lists. Binary operators, `,`, `;`
+        and `?` end it."""
+        text = self.stripped
+        groups: list[tuple[int, int]] = []
+        j = index
+        after_name = False
+        while True:
+            k = j
+            while k < len(text) and text[k] in " \t\n":
+                k += 1
+            if k >= len(text):
+                break
+            c = text[k]
+            if c.isalnum() or c == "_":
+                if after_name:
+                    break
+                j = self.NAME_RE.match(text, k).end()
+                after_name = True
+                continue
+            if c == "<" and after_name:
+                close = self.template_args_end(k)
+                if close < 0:
+                    break
+                j = close
+                continue
+            after_name = False
+            if text.startswith("::", k) or text.startswith("->", k):
+                j = k + 2
+            elif c == ".":
+                j = k + 1
+            elif c in "([":
+                close = find_matching(text, k, c, ")" if c == "(" else "]")
+                if close < 0:
+                    break
+                if c == "(":
+                    groups.append((k, close))
+                j = close
+            else:
+                break
+        return groups
+
+    def template_args_end(self, lt: int) -> int:
+        """Index just past the `>` closing the template argument list that
+        opens at `lt`, when a call or `::` follows it; -1 when the `<` is a
+        comparison."""
+        text = self.stripped
+        depth = 0
+        for i in range(lt, len(text)):
+            c = text[i]
+            if c == "<":
+                depth += 1
+            elif c == ">":
+                depth -= 1
+                if depth == 0:
+                    follows = self.CALL_OR_SCOPE_RE.match(text, i + 1)
+                    return i + 1 if follows else -1
+            elif c in ";{}":
+                return -1
+        return -1
+
+    def temporary_in(self, start: int, end: int) -> bool:
+        """True when text[start:end] (an argument list) builds a
+        brace-initialized temporary or a lambda."""
+        region = self.stripped[start:end]
+        if self.BRACE_TEMP_RE.search(region):
+            return True
+        prev = ""  # last non-blank character before i
+        for i, c in enumerate(region):
+            if (c == "[" and region[i + 1:i + 2] != "["
+                    and prev in ("(", ",", "=", "?", ":", "{")):
+                return True  # a lambda introducer, not a subscript
+            if c not in " \t\n":
+                prev = c
+        return False
+
+    def check_coawait_temporary_arg(self) -> None:
+        for m in self.CO_AWAIT_RE.finditer(self.stripped):
+            if any(self.temporary_in(open_, close)
+                   for open_, close in self.operand_arg_lists(m.end())):
+                self.report(
+                    m.start(),
+                    "coawait-temporary-arg",
+                    "brace-initialized temporary or lambda in a co_await "
+                    "operand's arguments — GCC frees such temporaries "
+                    "twice; build it into a named local first, or "
+                    "annotate with ros-lint: allow(coawait-temporary-arg)",
+                )
+
     def run(self) -> list[Finding]:
         self.check_discarded_status()
         self.check_coro_ref_param()
@@ -532,6 +646,7 @@ class FileLint:
         self.check_acquire_bay()
         self.check_speculative_fetch()
         self.check_coawait_in_conditional()
+        self.check_coawait_temporary_arg()
         return self.findings
 
 

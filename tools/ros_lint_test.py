@@ -498,6 +498,64 @@ class CoawaitInConditionalTest(unittest.TestCase):
                        "  int x = ok ? co_await A() : 0;\n"), [])
 
 
+class CoawaitTemporaryArgTest(unittest.TestCase):
+    @staticmethod
+    def rules(body):
+        src = "sim::Task<Status> f() {\n" + body + "  co_return OkStatus();\n}\n"
+        return [(r, line) for r, line in lint_source(src)
+                if r == "coawait-temporary-arg"]
+
+    def test_flags_brace_initialized_record(self):
+        # The shape GCC 12 freed twice in the MV log store.
+        self.assertEqual(
+            self.rules("  Status s = co_await log_.Append(mvlog::Record{\n"
+                       "      mvlog::RecordType::kPut, key, content});\n"),
+            [("coawait-temporary-arg", 2)])
+        self.assertEqual(
+            self.rules("  ROS_CO_RETURN_IF_ERROR(\n"
+                       "      co_await log_->Append(Rec{.key = k}));\n"),
+            [("coawait-temporary-arg", 3)])
+
+    def test_flags_lambda_converted_to_std_function(self):
+        self.assertEqual(
+            self.rules("  co_await sim_->Run(7, [this] { Work(); });\n"),
+            [("coawait-temporary-arg", 2)])
+        self.assertEqual(
+            self.rules("  co_await pool.Submit(std::function<void()>(\n"
+                       "      [&]() { ++n; }));\n"),
+            [("coawait-temporary-arg", 2)])
+
+    def test_flags_template_and_chained_calls(self):
+        self.assertEqual(
+            self.rules("  co_await Put<Rec>(std::vector<int>{1, 2});\n"
+                       "  co_await a.b()->c(Rec{});\n"),
+            [("coawait-temporary-arg", 2), ("coawait-temporary-arg", 3)])
+
+    def test_named_locals_are_clean(self):
+        self.assertEqual(
+            self.rules("  mvlog::Record rec{mvlog::RecordType::kPut, key};\n"
+                       "  Status s = co_await log_.Append(std::move(rec));\n"
+                       "  std::function<void()> work = [this] { Work(); };\n"
+                       "  co_await sim_->Run(7, std::move(work));\n"), [])
+
+    def test_other_shapes_are_clean(self):
+        # Subscripts, a bare braced list, a temporary outside the awaited
+        # operand, and a co_await inside a lambda body.
+        self.assertEqual(
+            self.rules("  auto l = co_await mutex_[bay]->Lock();\n"
+                       "  co_await plc_.Execute({.op = PlcOp::kGrab});\n"
+                       "  Use(Rec{}, co_await A(x[0]));\n"
+                       "  bool lt = co_await A() < Rec{}.n;\n"
+                       "  auto t = [this]() -> sim::Task<Status> {\n"
+                       "    co_return co_await B(y);\n"
+                       "  };\n"), [])
+
+    def test_inline_allow_suppresses(self):
+        self.assertEqual(
+            self.rules("  // ros-lint: allow(coawait-temporary-arg): why\n"
+                       "  co_await log_.Append(Rec{});\n"), [])
+
+
 class AllowlistTest(unittest.TestCase):
     def test_allowlist_file_filters_by_suffix_and_rule(self):
         with tempfile.TemporaryDirectory() as tmp:
