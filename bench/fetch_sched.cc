@@ -598,7 +598,7 @@ int main(int argc, char** argv) {
       row["bytes_identical"] = json::Value(bytes_identical);
       row["gated"] = json::Value(gated);
       row["pass"] = json::Value(cell_pass);
-      rows.push_back(json::Value(std::move(row)));
+      rows.emplace_back(std::move(row));
       if (!cell_pass) {
         std::fprintf(stderr,
                      "cell failed: readers=%d locality=%s "
@@ -641,7 +641,7 @@ int main(int argc, char** argv) {
     row["bytes_identical"] = json::Value(bytes_identical);
     row["gated"] = json::Value(gated);
     row["pass"] = json::Value(cell_pass);
-    trace_rows.push_back(json::Value(std::move(row)));
+    trace_rows.emplace_back(std::move(row));
     if (!cell_pass) {
       std::fprintf(stderr,
                    "trace cell failed: readers=%d bytes_identical=%d "

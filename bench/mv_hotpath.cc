@@ -872,7 +872,7 @@ int main(int argc, char** argv) {
       store["compactions"] =
           json::Value(static_cast<std::int64_t>(ls.store.compactions));
       row["ls_store"] = json::Value(std::move(store));
-      size_results.push_back(json::Value(std::move(row)));
+      size_results.emplace_back(std::move(row));
 
       // The tentpole gate, on the deterministic number: at 1M entries the
       // group-committed create must beat the per-file backend by >= 5x in

@@ -398,7 +398,7 @@ int Main(int argc, char** argv) {
     if (!RunConfig(cfg, opt, &result)) {
       return 1;
     }
-    rows.push_back(json::Value(std::move(result.row)));
+    rows.emplace_back(std::move(result.row));
     results[cfg.name] = std::move(result);
   }
 

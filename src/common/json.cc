@@ -155,7 +155,10 @@ class Parser {
 
   StatusOr<Value> ParseDocument() {
     SkipSpace();
-    ROS_ASSIGN_OR_RETURN(Value v, ParseValue());
+    StatusOr<Value> v = ParseValue();
+    if (!v.ok()) {
+      return v;
+    }
     SkipSpace();
     if (pos_ != text_.size()) {
       return Fail("trailing characters after JSON value");
@@ -197,22 +200,25 @@ class Parser {
       case '[': return ParseArray();
       case '"': return ParseString();
       case 't':
-        return ParseLiteral("true", Value(true));
+        ROS_RETURN_IF_ERROR(ConsumeLiteral("true"));
+        return Value(true);
       case 'f':
-        return ParseLiteral("false", Value(false));
+        ROS_RETURN_IF_ERROR(ConsumeLiteral("false"));
+        return Value(false);
       case 'n':
-        return ParseLiteral("null", Value(nullptr));
+        ROS_RETURN_IF_ERROR(ConsumeLiteral("null"));
+        return Value(nullptr);
       default:
         return ParseNumber();
     }
   }
 
-  StatusOr<Value> ParseLiteral(std::string_view lit, Value v) {
+  Status ConsumeLiteral(std::string_view lit) {
     if (text_.substr(pos_, lit.size()) != lit) {
       return Fail("invalid literal");
     }
     pos_ += lit.size();
-    return v;
+    return OkStatus();
   }
 
   // Enforces the JSON number grammar `-?(0|[1-9][0-9]*)(.[0-9]+)?

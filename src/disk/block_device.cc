@@ -59,8 +59,24 @@ Status StorageDevice::CheckInjectedFault(bool is_read) {
 
 sim::Task<Status> StorageDevice::Write(std::uint64_t offset,
                                        std::vector<std::uint8_t> data) {
-  if (offset + data.size() > capacity_) {
-    co_return OutOfRangeError("write beyond device " + name_);
+  const Extent extent{offset, data.size(), data.data()};
+  co_return co_await WriteExtents({&extent, 1});
+}
+
+sim::Task<Status> StorageDevice::ChargeWrite(std::uint64_t offset,
+                                             std::uint64_t length) {
+  const Extent extent{offset, length, nullptr};
+  co_return co_await WriteExtents({&extent, 1});
+}
+
+sim::Task<Status> StorageDevice::WriteExtents(
+    std::span<const Extent> extents) {
+  std::uint64_t total = 0;
+  for (const Extent& extent : extents) {
+    if (extent.offset + extent.length > capacity_) {
+      co_return OutOfRangeError("write beyond device " + name_);
+    }
+    total += extent.length;
   }
   sim::Mutex::ScopedLock lock = co_await queue_.Lock();
   if (failed_) {
@@ -68,15 +84,18 @@ sim::Task<Status> StorageDevice::Write(std::uint64_t offset,
   }
   ROS_CO_RETURN_IF_ERROR(CheckInjectedFault(/*is_read=*/false));
   sim::TimePoint start = sim_.now();
-  co_await sim_.Delay(WriteLatency(offset) +
-                      sim::TransferTime(data.size(),
-                                        perf_.write_bytes_per_sec));
+  co_await sim_.Delay(WriteLatency(extents.front().offset) +
+                      sim::TransferTime(total, perf_.write_bytes_per_sec));
   if (failed_) {  // failure injected mid-flight
     co_return UnavailableError("device " + name_ + " failed");
   }
-  last_write_end_ = offset + data.size();
-  StoreBytes(offset, data);
-  bytes_written_ += data.size();
+  for (const Extent& extent : extents) {
+    if (extent.data != nullptr) {
+      StoreBytes(extent.offset, {extent.data, extent.length});
+    }
+  }
+  last_write_end_ = extents.back().offset + extents.back().length;
+  bytes_written_ += total;
   busy_time_ += sim_.now() - start;
   co_return OkStatus();
 }
@@ -139,34 +158,6 @@ sim::Task<Status> StorageDevice::ReadDiscard(std::uint64_t offset,
                       sim::TransferTime(length, perf_.read_bytes_per_sec));
   last_read_end_ = offset + length;
   bytes_read_ += length;
-  busy_time_ += sim_.now() - start;
-  co_return OkStatus();
-}
-
-sim::Task<Status> StorageDevice::WriteMulti(std::vector<Segment> segments) {
-  std::uint64_t total = 0;
-  for (const Segment& segment : segments) {
-    if (segment.offset + segment.data.size() > capacity_) {
-      co_return OutOfRangeError("vectored write beyond device " + name_);
-    }
-    total += segment.data.size();
-  }
-  sim::Mutex::ScopedLock lock = co_await queue_.Lock();
-  if (failed_) {
-    co_return UnavailableError("device " + name_ + " failed");
-  }
-  ROS_CO_RETURN_IF_ERROR(CheckInjectedFault(/*is_read=*/false));
-  sim::TimePoint start = sim_.now();
-  co_await sim_.Delay(WriteLatency(segments.front().offset) +
-                      sim::TransferTime(total, perf_.write_bytes_per_sec));
-  if (failed_) {
-    co_return UnavailableError("device " + name_ + " failed");
-  }
-  for (const Segment& segment : segments) {
-    StoreBytes(segment.offset, segment.data);
-  }
-  last_write_end_ = segments.back().offset + segments.back().data.size();
-  bytes_written_ += total;
   busy_time_ += sim_.now() - start;
   co_return OkStatus();
 }

@@ -1,9 +1,11 @@
 // Block devices of the disk tier (§3.3).
 //
 // BlockDevice is the timing+storage interface shared by raw devices (HDD,
-// SSD) and composed RAID volumes. Devices store real bytes sparsely (64 KiB
-// chunks allocated on first write) while charging transfer time from a
-// sequential-throughput + per-request-latency performance model. Requests
+// SSD) and composed RAID volumes. Devices store the bytes of Write sparsely
+// (64 KiB chunks allocated on first write) while charging transfer time
+// from a sequential-throughput + per-request-latency performance model.
+// ChargeWrite charges the same time and stores nothing, for payload whose
+// bytes are never read back (the disk buffer's copy of a bucket). Requests
 // on one device are serialized FIFO, which is what makes concurrent I/O
 // streams interfere (§4.7's four-stream problem).
 #ifndef ROS_SRC_DISK_BLOCK_DEVICE_H_
@@ -34,6 +36,12 @@ class BlockDevice {
   // Writes `data` at `offset`, charging simulated time.
   virtual sim::Task<Status> Write(std::uint64_t offset,
                                   std::vector<std::uint8_t> data) = 0;
+
+  // Charges exactly what Write of `length` bytes at `offset` charges (the
+  // same requests, stalls, fault checks and counters) but stores nothing:
+  // the range keeps whatever it held before.
+  virtual sim::Task<Status> ChargeWrite(std::uint64_t offset,
+                                        std::uint64_t length) = 0;
 
   // Reads `length` bytes at `offset`, charging simulated time. Unwritten
   // ranges read as zeros.
@@ -76,7 +84,7 @@ inline DevicePerf SsdPerf() {
           .request_latency = sim::Micros(80)};
 }
 
-// A raw device: real sparse storage + the performance model above.
+// A raw device: sparse storage + the performance model above.
 class StorageDevice : public BlockDevice {
  public:
   StorageDevice(sim::Simulator& sim, std::string name, std::uint64_t capacity,
@@ -88,6 +96,8 @@ class StorageDevice : public BlockDevice {
 
   sim::Task<Status> Write(std::uint64_t offset,
                           std::vector<std::uint8_t> data) override;
+  sim::Task<Status> ChargeWrite(std::uint64_t offset,
+                                std::uint64_t length) override;
   sim::Task<StatusOr<std::vector<std::uint8_t>>> Read(
       std::uint64_t offset, std::uint64_t length) override;
   sim::Task<Status> WriteDiscard(std::uint64_t offset,
@@ -98,12 +108,23 @@ class StorageDevice : public BlockDevice {
   // Vectored I/O: one request latency charge for the whole batch plus the
   // total transfer time. RAID volumes use these so striped sequential
   // streams do not pay a positioning cost per 64 KiB chunk.
+  //
+  // A vectored write's pieces borrow their bytes: `length` bytes at
+  // `offset` taken from `data`, or charged without storing when `data` is
+  // null. WriteExtents is also the one body of Write and ChargeWrite; its
+  // head starts at the first extent. `extents` (and the bytes they point
+  // at) must outlive the call.
+  struct Extent {
+    std::uint64_t offset;
+    std::uint64_t length;
+    const std::uint8_t* data;
+  };
+  sim::Task<Status> WriteExtents(std::span<const Extent> extents);
+  // Reads fill each segment's pre-sized `data` in place.
   struct Segment {
     std::uint64_t offset;
-    std::vector<std::uint8_t> data;  // for reads: sized, filled on return
+    std::vector<std::uint8_t> data;
   };
-  sim::Task<Status> WriteMulti(std::vector<Segment> segments);
-  // Fills each segment's pre-sized `data` in place.
   sim::Task<Status> ReadMulti(std::vector<Segment>* segments);
 
   // Cache-coherent direct access: stores/loads bytes with no timing
@@ -138,6 +159,9 @@ class StorageDevice : public BlockDevice {
   std::uint64_t bytes_written() const override { return bytes_written_; }
   std::uint64_t bytes_read() const override { return bytes_read_; }
   sim::Duration busy_time() const { return busy_time_; }
+  // Bytes of backing storage held: whole 64 KiB chunks that some write
+  // stored into. Charge-only writes never add to it.
+  std::uint64_t stored_bytes() const { return chunks_.size() * kChunk; }
 
  private:
   static constexpr std::uint64_t kChunk = 64 * kKiB;

@@ -108,56 +108,79 @@ bool RaidVolume::operational() const {
 
 sim::Task<Status> RaidVolume::Write(std::uint64_t offset,
                                     std::vector<std::uint8_t> data) {
-  if (offset + data.size() > capacity_) {
+  co_return co_await WriteRange(offset, data.size(), data);
+}
+
+sim::Task<Status> RaidVolume::ChargeWrite(std::uint64_t offset,
+                                          std::uint64_t length) {
+  co_return co_await WriteRange(offset, length, {});
+}
+
+sim::Task<Status> RaidVolume::WriteRange(std::uint64_t offset,
+                                         std::uint64_t length,
+                                         std::span<const std::uint8_t> data) {
+  if (offset + length > capacity_) {
     co_return OutOfRangeError("write beyond RAID volume");
   }
   if (!operational()) {
     co_return UnavailableError("RAID volume lost too many devices");
   }
-  if (data.empty()) {
+  if (length == 0) {
     co_return OkStatus();
   }
 
   // Controller write-back cache path: small writes on a healthy volume
   // acknowledge from controller DRAM and destage in the background.
-  if (write_cache_ && data.size() <= kCacheMaxWrite &&
-      failed_devices() == 0) {
-    co_return co_await WriteCached(offset, std::move(data));
+  if (write_cache_ && length <= kCacheMaxWrite && failed_devices() == 0) {
+    co_return co_await WriteCached(offset, length, data);
   }
 
   if (level_ == RaidLevel::kRaid1) {
+    const StorageDevice::Extent extent{
+        offset, length, data.empty() ? nullptr : data.data()};
     std::vector<sim::Task<Status>> writes;
     for (StorageDevice* device : devices_) {
       if (!device->failed()) {
-        writes.push_back(device->Write(offset, data));
+        writes.push_back(device->WriteExtents({&extent, 1}));
       }
     }
-    bytes_written_ += data.size();
+    bytes_written_ += length;
     co_return co_await sim::AllOk(sim_, std::move(writes));
   }
 
   // Align the request to whole stripes, merging with existing data at the
-  // partially-covered head/tail stripes (read-modify-write).
+  // partially-covered head/tail stripes (read-modify-write). A charge-only
+  // write still pays the merge reads but keeps no buffer.
   const std::uint64_t first = offset / stripe_bytes_;
-  const std::uint64_t last = (offset + data.size() + stripe_bytes_ - 1) /
+  const std::uint64_t last = (offset + length + stripe_bytes_ - 1) /
                              stripe_bytes_;
-  std::vector<std::uint8_t> buffer((last - first) * stripe_bytes_, 0);
+  const bool store = !data.empty();
+  std::vector<std::uint8_t> buffer;
+  if (store) {
+    buffer.assign((last - first) * stripe_bytes_, 0);
+  }
   const bool head_partial = offset % stripe_bytes_ != 0;
-  const bool tail_partial = (offset + data.size()) % stripe_bytes_ != 0;
+  const bool tail_partial = (offset + length) % stripe_bytes_ != 0;
   if (head_partial) {
     std::vector<std::uint8_t> old;
     ROS_CO_RETURN_IF_ERROR(co_await ReadStripeData(first, &old));
-    std::memcpy(buffer.data(), old.data(), stripe_bytes_);
+    if (store) {
+      std::memcpy(buffer.data(), old.data(), stripe_bytes_);
+    }
   }
   if (tail_partial && (last - 1 != first || !head_partial)) {
     std::vector<std::uint8_t> old;
     ROS_CO_RETURN_IF_ERROR(co_await ReadStripeData(last - 1, &old));
-    std::memcpy(buffer.data() + (last - 1 - first) * stripe_bytes_,
-                old.data(), stripe_bytes_);
+    if (store) {
+      std::memcpy(buffer.data() + (last - 1 - first) * stripe_bytes_,
+                  old.data(), stripe_bytes_);
+    }
   }
-  std::memcpy(buffer.data() + (offset - first * stripe_bytes_), data.data(),
-              data.size());
-  bytes_written_ += data.size();
+  if (store) {
+    std::memcpy(buffer.data() + (offset - first * stripe_bytes_),
+                data.data(), length);
+  }
+  bytes_written_ += length;
   co_return co_await WriteStripes(first, last, buffer);
 }
 
@@ -180,34 +203,53 @@ void RaidVolume::ComputeStripeParity(const std::uint8_t* base,
 
 sim::Task<Status> RaidVolume::WriteStripes(
     std::uint64_t first, std::uint64_t last,
-    std::vector<std::uint8_t> data) {
-  ROS_CHECK(data.size() >= (last - first) * stripe_bytes_);
-  // Per-device vectored segments across all stripes in the request.
-  std::map<int, std::vector<StorageDevice::Segment>> segments;
+    std::span<const std::uint8_t> data) {
+  const bool store = !data.empty();
+  ROS_CHECK(!store || data.size() >= (last - first) * stripe_bytes_);
+  // Parity chunks of every stripe, P then Q, one stripe unit each; they
+  // and `data` back the device extents until the writes complete.
+  const std::uint64_t parity_units =
+      (last - first) * static_cast<std::uint64_t>(parity_count());
+  std::vector<std::uint8_t> parity;
+  if (store) {
+    parity.assign(parity_units * stripe_unit_, 0);
+  }
+  const auto bytes_at = [store](const auto& buffer, std::uint64_t at) {
+    return store ? buffer.data() + at : nullptr;
+  };
+  // Per-device vectored extents across all stripes in the request.
+  std::map<int, std::vector<StorageDevice::Extent>> extents;
 
   std::uint64_t parity_bytes = 0;
   for (std::uint64_t stripe = first; stripe < last; ++stripe) {
-    const std::uint8_t* base =
-        data.data() + (stripe - first) * stripe_bytes_;
-    std::vector<std::uint8_t> p(stripe_unit_, 0);
-    std::vector<std::uint8_t> q(stripe_unit_, 0);
+    const std::uint64_t base = (stripe - first) * stripe_bytes_;
     for (int k = 0; k < data_n_; ++k) {
-      std::span<const std::uint8_t> chunk{base + k * stripe_unit_,
-                                          stripe_unit_};
       ChunkLoc loc = DataChunk(stripe, k);
-      segments[loc.device].push_back(
-          {loc.dev_offset,
-           std::vector<std::uint8_t>(chunk.begin(), chunk.end())});
+      extents[loc.device].push_back(
+          {loc.dev_offset, stripe_unit_,
+           bytes_at(data, base + static_cast<std::uint64_t>(k) *
+                                     stripe_unit_)});
     }
-    ComputeStripeParity(base, p, q);
+    const std::uint64_t p_at =
+        (stripe - first) * static_cast<std::uint64_t>(parity_count()) *
+        stripe_unit_;
+    if (store && parity_count() >= 1) {
+      std::uint8_t* p = parity.data() + p_at;
+      ComputeStripeParity(data.data() + base, {p, stripe_unit_},
+                          parity_count() >= 2
+                              ? std::span<std::uint8_t>{p + stripe_unit_,
+                                                        stripe_unit_}
+                              : std::span<std::uint8_t>{});
+    }
     if (parity_count() >= 1) {
-      segments[PDevice(stripe)].push_back(
-          {stripe * stripe_unit_, std::move(p)});
+      extents[PDevice(stripe)].push_back(
+          {stripe * stripe_unit_, stripe_unit_, bytes_at(parity, p_at)});
       parity_bytes += stripe_bytes_;
     }
     if (parity_count() >= 2) {
-      segments[QDevice(stripe)].push_back(
-          {stripe * stripe_unit_, std::move(q)});
+      extents[QDevice(stripe)].push_back(
+          {stripe * stripe_unit_, stripe_unit_,
+           bytes_at(parity, p_at + stripe_unit_)});
       parity_bytes += stripe_bytes_;
     }
   }
@@ -219,9 +261,9 @@ sim::Task<Status> RaidVolume::WriteStripes(
   }
 
   std::vector<sim::Task<Status>> ops;
-  for (auto& [device, segs] : segments) {
+  for (const auto& [device, device_extents] : extents) {
     if (!devices_[device]->failed()) {
-      ops.push_back(devices_[device]->WriteMulti(std::move(segs)));
+      ops.push_back(devices_[device]->WriteExtents(device_extents));
     }
   }
   co_return co_await sim::AllOk(sim_, std::move(ops));
@@ -325,50 +367,55 @@ void RaidVolume::RememberRange(std::uint64_t offset, std::uint64_t length) {
   }
 }
 
-sim::Task<Status> RaidVolume::WriteCached(std::uint64_t offset,
-                                          std::vector<std::uint8_t> data) {
+sim::Task<Status> RaidVolume::WriteCached(
+    std::uint64_t offset, std::uint64_t length,
+    std::span<const std::uint8_t> data) {
   // Honour the dirty limit: writers stall while destaging catches up,
   // which converges sustained throughput to the spindle rate.
-  while (dirty_ + data.size() > kCacheDirtyLimit) {
+  while (dirty_ + length > kCacheDirtyLimit) {
     co_await drained_->Wait();
   }
-  const std::uint64_t size = data.size();
-  bytes_written_ += size;
-  dirty_ += size;
+  const bool store = !data.empty();
+  bytes_written_ += length;
+  dirty_ += length;
 
   std::uint64_t first = 0;
   std::uint64_t stripes = 1;
   if (level_ == RaidLevel::kRaid1) {
-    for (StorageDevice* device : devices_) {
-      device->StoreDirect(offset, data);
+    if (store) {
+      for (StorageDevice* device : devices_) {
+        device->StoreDirect(offset, data);
+      }
     }
   } else {
     first = offset / stripe_bytes_;
     const std::uint64_t last =
-        (offset + size + stripe_bytes_ - 1) / stripe_bytes_;
+        (offset + length + stripe_bytes_ - 1) / stripe_bytes_;
     stripes = last - first;
     // Read-merge partial head/tail stripes from the cache-coherent view,
     // overlay, recompute parity, store — all in controller DRAM.
-    std::vector<std::uint8_t> buffer(stripes * stripe_bytes_, 0);
-    for (std::uint64_t stripe = first; stripe < last; ++stripe) {
-      for (int k = 0; k < data_n_; ++k) {
-        ChunkLoc loc = DataChunk(stripe, k);
-        devices_[loc.device]->LoadDirect(
-            loc.dev_offset,
-            {buffer.data() + (stripe - first) * stripe_bytes_ +
-                 static_cast<std::uint64_t>(k) * stripe_unit_,
-             stripe_unit_});
+    if (store) {
+      std::vector<std::uint8_t> buffer(stripes * stripe_bytes_, 0);
+      for (std::uint64_t stripe = first; stripe < last; ++stripe) {
+        for (int k = 0; k < data_n_; ++k) {
+          ChunkLoc loc = DataChunk(stripe, k);
+          devices_[loc.device]->LoadDirect(
+              loc.dev_offset,
+              {buffer.data() + (stripe - first) * stripe_bytes_ +
+                   static_cast<std::uint64_t>(k) * stripe_unit_,
+               stripe_unit_});
+        }
       }
+      std::memcpy(buffer.data() + (offset - first * stripe_bytes_),
+                  data.data(), length);
+      StoreStripesDirect(first, first + stripes, buffer);
     }
-    std::memcpy(buffer.data() + (offset - first * stripe_bytes_),
-                data.data(), size);
-    StoreStripesDirect(first, first + stripes, buffer);
   }
 
-  RememberRange(offset, size);
-  sim_.Spawn(Destage(first, stripes, size));
+  RememberRange(offset, length);
+  sim_.Spawn(Destage(first, stripes, length));
   co_await sim_.Delay(sim::Micros(300) +
-                      sim::TransferTime(size, kCacheAckBytesPerSec));
+                      sim::TransferTime(length, kCacheAckBytesPerSec));
   co_return OkStatus();
 }
 

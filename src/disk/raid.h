@@ -60,6 +60,8 @@ class RaidVolume : public BlockDevice {
 
   sim::Task<Status> Write(std::uint64_t offset,
                           std::vector<std::uint8_t> data) override;
+  sim::Task<Status> ChargeWrite(std::uint64_t offset,
+                                std::uint64_t length) override;
   sim::Task<StatusOr<std::vector<std::uint8_t>>> Read(
       std::uint64_t offset, std::uint64_t length) override;
   sim::Task<Status> WriteDiscard(std::uint64_t offset,
@@ -111,10 +113,17 @@ class RaidVolume : public BlockDevice {
                                    std::vector<std::uint8_t>* out,
                                    int exclude = -1);
 
+  // The one body of Write and ChargeWrite: `length` bytes at `offset`
+  // whose bytes are `data`, or are charged without being stored when
+  // `data` is empty.
+  sim::Task<Status> WriteRange(std::uint64_t offset, std::uint64_t length,
+                               std::span<const std::uint8_t> data);
+
   // Writes full stripes [first, last) given a contiguous data buffer that
-  // starts at stripe `first`. Computes and writes parity.
+  // starts at stripe `first`, computing and writing parity; an empty
+  // buffer charges the same device requests without storing anything.
   sim::Task<Status> WriteStripes(std::uint64_t first, std::uint64_t last,
-                                 std::vector<std::uint8_t> data);
+                                 std::span<const std::uint8_t> data);
 
   // Fills p (and, for RAID-6, q) with the parity of one stripe's data
   // chunks at `base` using the fused single-sweep P+Q kernel. Both spans
@@ -132,10 +141,11 @@ class RaidVolume : public BlockDevice {
   bool RangeInCache(std::uint64_t offset, std::uint64_t length) const;
   void RememberRange(std::uint64_t offset, std::uint64_t length);
 
-  // Write-back cache: instant parity+store into controller DRAM, then a
-  // background destage charging spindle time.
-  sim::Task<Status> WriteCached(std::uint64_t offset,
-                                std::vector<std::uint8_t> data);
+  // Write-back cache: instant parity+store into controller DRAM (skipped
+  // for a charge-only write, whose `data` is empty), then a background
+  // destage charging spindle time.
+  sim::Task<Status> WriteCached(std::uint64_t offset, std::uint64_t length,
+                                std::span<const std::uint8_t> data);
   void StoreStripesDirect(std::uint64_t first, std::uint64_t last,
                           const std::vector<std::uint8_t>& data);
   sim::Task<void> Destage(std::uint64_t first_stripe, std::uint64_t stripes,

@@ -184,6 +184,12 @@ Status Volume::MapRange(
 
 sim::Task<Status> Volume::Write(std::string name, std::uint64_t offset,
                                 std::vector<std::uint8_t> data) {
+  co_return co_await WriteRange(std::move(name), offset, data.size(), data);
+}
+
+sim::Task<Status> Volume::WriteRange(std::string name, std::uint64_t offset,
+                                     std::uint64_t length,
+                                     std::span<const std::uint8_t> data) {
   FileMeta* found = FindMeta(name);
   if (found == nullptr) {
     co_return NotFoundError("no file " + name);
@@ -191,7 +197,7 @@ sim::Task<Status> Volume::Write(std::string name, std::uint64_t offset,
   FileMeta& meta = *found;
   Touch(meta);
   NotifyMutation(name, MutationKind::kModified);
-  const std::uint64_t end = offset + data.size();
+  const std::uint64_t end = offset + length;
 
   // Grow allocation to cover the write.
   std::uint64_t have_blocks = 0;
@@ -209,14 +215,16 @@ sim::Task<Status> Volume::Write(std::string name, std::uint64_t offset,
   }
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> segs;
-  ROS_CO_RETURN_IF_ERROR(MapRange(meta, offset, data.size(), &segs));
+  ROS_CO_RETURN_IF_ERROR(MapRange(meta, offset, length, &segs));
   std::uint64_t pos = 0;
   for (const auto& [dev_offset, n] : segs) {
-    std::vector<std::uint8_t> piece(
-        data.begin() + static_cast<std::ptrdiff_t>(pos),
-        data.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    ROS_CO_RETURN_IF_ERROR(co_await device_->Write(dev_offset,
-                                                   std::move(piece)));
+    if (data.empty()) {
+      ROS_CO_RETURN_IF_ERROR(co_await device_->ChargeWrite(dev_offset, n));
+    } else {
+      const auto piece = data.subspan(pos, n);
+      ROS_CO_RETURN_IF_ERROR(co_await device_->Write(
+          dev_offset, std::vector<std::uint8_t>(piece.begin(), piece.end())));
+    }
     pos += n;
   }
   co_return co_await WriteMetadata();
@@ -297,9 +305,25 @@ sim::Task<Status> Volume::Truncate(std::string name, std::uint64_t new_size) {
 sim::Task<Status> Volume::AppendSparse(std::string name,
                                        std::vector<std::uint8_t> data,
                                        std::uint64_t logical_len) {
-  ROS_CHECK(logical_len >= data.size());
-  const std::uint64_t tail = logical_len - data.size();
-  ROS_CO_RETURN_IF_ERROR(co_await Append(name, std::move(data)));
+  co_return co_await AppendRange(std::move(name), data.size(), data,
+                                 logical_len);
+}
+
+sim::Task<Status> Volume::ChargeAppend(std::string name, std::uint64_t length,
+                                       std::uint64_t logical_len) {
+  co_return co_await AppendRange(std::move(name), length, {}, logical_len);
+}
+
+sim::Task<Status> Volume::AppendRange(std::string name, std::uint64_t length,
+                                      std::span<const std::uint8_t> data,
+                                      std::uint64_t logical_len) {
+  ROS_CHECK(logical_len >= length);
+  const std::uint64_t tail = logical_len - length;
+  const FileMeta* file = FindMeta(name);
+  if (file == nullptr) {
+    co_return NotFoundError("no file " + name);
+  }
+  ROS_CO_RETURN_IF_ERROR(co_await WriteRange(name, file->size, length, data));
   if (tail == 0) {
     co_return OkStatus();
   }

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -96,17 +97,6 @@ class Volume {
     return it->first;
   }
 
-  // Calls fn(name, size) for every file whose name starts with `prefix`,
-  // in lexicographic order, without building a vector of names. `fn` must
-  // not mutate the volume.
-  template <typename Fn>
-  void ForEachPrefix(const std::string& prefix, Fn&& fn) const {
-    for (auto it = files_.lower_bound(prefix);
-         it != files_.end() && NameHasPrefix(it->first, prefix); ++it) {
-      fn(it->first, it->second.size);
-    }
-  }
-
   // Creates an empty file (one inode + a journaled metadata write).
   sim::Task<Status> Create(std::string name);
 
@@ -135,6 +125,14 @@ class Volume {
   // PB-scale experiments; the tail reads back as zeros).
   sim::Task<Status> AppendSparse(std::string name,
                                  std::vector<std::uint8_t> data,
+                                 std::uint64_t logical_len);
+
+  // Charges exactly what AppendSparse of `length` data bytes and the same
+  // `logical_len` would, through the device's ChargeWrite, and stores no
+  // byte: for payload that is only ever read back with ReadDiscard (a
+  // buffered bucket, a parity image, a NAS staging file). The appended
+  // range reads back as whatever the device held there before.
+  sim::Task<Status> ChargeAppend(std::string name, std::uint64_t length,
                                  std::uint64_t logical_len);
 
   sim::Task<StatusOr<std::vector<std::uint8_t>>> Read(
@@ -244,6 +242,18 @@ class Volume {
 
   // Charges a journaled inode/metadata update.
   sim::Task<Status> WriteMetadata();
+
+  // The one body of Write and the charge-only appends: `length` bytes at
+  // `offset` taken from `data`, or charged through the device's
+  // ChargeWrite when `data` is empty.
+  sim::Task<Status> WriteRange(std::string name, std::uint64_t offset,
+                               std::uint64_t length,
+                               std::span<const std::uint8_t> data);
+
+  // The one body of AppendSparse and ChargeAppend.
+  sim::Task<Status> AppendRange(std::string name, std::uint64_t length,
+                                std::span<const std::uint8_t> data,
+                                std::uint64_t logical_len);
 
   // Maps a byte range of a file onto device segments.
   Status MapRange(const FileMeta& meta, std::uint64_t offset,

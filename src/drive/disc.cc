@@ -112,9 +112,23 @@ StatusOr<const Session*> Disc::FindSession(const std::string& image_id) const {
   return NotFoundError("image " + image_id + " not on disc " + id_);
 }
 
-StatusOr<std::vector<std::uint8_t>> Disc::ReadSession(
-    const std::string& image_id, std::uint64_t offset,
-    std::uint64_t length) const {
+std::vector<std::uint8_t> Session::Copy(std::uint64_t offset,
+                                        std::uint64_t length) const {
+  std::vector<std::uint8_t> out;
+  out.reserve(length);
+  const std::span<const std::uint8_t> stored = data();
+  if (offset < stored.size()) {
+    const auto from = stored.subspan(
+        offset, std::min<std::uint64_t>(length, stored.size() - offset));
+    out.assign(from.begin(), from.end());
+  }
+  out.resize(length, 0);
+  return out;
+}
+
+StatusOr<const Session*> Disc::CheckSessionRead(const std::string& image_id,
+                                                std::uint64_t offset,
+                                                std::uint64_t length) const {
   ROS_ASSIGN_OR_RETURN(const Session* session, FindSession(image_id));
   if (offset + length > session->logical_size) {
     return OutOfRangeError("read beyond session end");
@@ -130,14 +144,15 @@ StatusOr<std::vector<std::uint8_t>> Disc::ReadSession(
                            " on disc " + id_);
     }
   }
-  std::vector<std::uint8_t> out(length, 0);
-  const std::span<const std::uint8_t> stored = session->data();
-  if (offset < stored.size()) {
-    std::uint64_t n = std::min<std::uint64_t>(length, stored.size() - offset);
-    std::copy_n(stored.begin() + static_cast<std::ptrdiff_t>(offset), n,
-                out.begin());
-  }
-  return out;
+  return session;
+}
+
+StatusOr<std::vector<std::uint8_t>> Disc::ReadSession(
+    const std::string& image_id, std::uint64_t offset,
+    std::uint64_t length) const {
+  ROS_ASSIGN_OR_RETURN(const Session* session,
+                       CheckSessionRead(image_id, offset, length));
+  return session->Copy(offset, length);
 }
 
 Status Disc::TamperSessionData(const std::string& image_id,

@@ -114,6 +114,11 @@ struct Session {
   std::span<const std::uint8_t> data() const {
     return BytesOf(payload).first(stored_bytes);
   }
+
+  // A copy of [offset, offset + length): the stored bytes it covers, and
+  // zeros past them.
+  std::vector<std::uint8_t> Copy(std::uint64_t offset,
+                                 std::uint64_t length) const;
 };
 
 // AppendSession / ExtendOpenSession default: the whole payload was burned.
@@ -169,6 +174,14 @@ class Disc {
   StatusOr<std::vector<std::uint8_t>> ReadSession(const std::string& image_id,
                                                   std::uint64_t offset,
                                                   std::uint64_t length) const;
+
+  // ReadSession's checks without the copy: the named session when
+  // [offset, offset + length) lies inside it and covers no corrupted
+  // sector, else ReadSession's error. Readers that only charge a read, or
+  // parse the session in place, call this instead.
+  StatusOr<const Session*> CheckSessionRead(const std::string& image_id,
+                                            std::uint64_t offset,
+                                            std::uint64_t length) const;
 
   // --- fault injection & scrubbing ---
 

@@ -63,6 +63,21 @@ sim::Task<Status> OpticalDrive::MountVfs() {
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::Read(
     std::string image_id, std::uint64_t offset, std::uint64_t length) {
+  ROS_CO_ASSIGN_OR_RETURN(const Session* session,
+                          co_await TimedRead(std::move(image_id), offset,
+                                             length));
+  co_return session->Copy(offset, length);
+}
+
+sim::Task<Status> OpticalDrive::ChargeRead(std::string image_id,
+                                           std::uint64_t offset,
+                                           std::uint64_t length) {
+  auto session = co_await TimedRead(std::move(image_id), offset, length);
+  co_return session.status();
+}
+
+sim::Task<StatusOr<const Session*>> OpticalDrive::TimedRead(
+    std::string image_id, std::uint64_t offset, std::uint64_t length) {
   ROS_CO_RETURN_IF_ERROR(co_await MountVfs());
   if (state_ != DriveState::kReady) {
     co_return UnavailableError("drive busy");
@@ -120,27 +135,34 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::Read(
   state_ = DriveState::kReady;
   busy_time_ += sim_.now() - start;
 
-  auto data = disc_->ReadSession(image_id, offset, length);
-  if (data.ok()) {
+  auto session = disc_->CheckSessionRead(image_id, offset, length);
+  if (session.ok()) {
     bytes_read_ += length;
-    last_read_image_ = image_id;
+    last_read_image_ = std::move(image_id);
     last_read_end_ = offset + length;
   }
-  co_return data;
+  co_return session;
 }
 
 sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::ReadImageStream(
+    std::string image_id) {
+  ROS_CO_ASSIGN_OR_RETURN(const std::uint64_t n,
+                          co_await ChargeImageStream(image_id));
+  ROS_CO_ASSIGN_OR_RETURN(const Session* session,
+                          disc_->FindSession(image_id));
+  co_return session->Copy(0, n);
+}
+
+sim::Task<StatusOr<std::uint64_t>> OpticalDrive::ChargeImageStream(
     std::string image_id) {
   ROS_CO_RETURN_IF_ERROR(co_await MountVfs());
   ROS_CO_ASSIGN_OR_RETURN(const Session* session,
                           disc_->FindSession(image_id));
   const std::uint64_t n = session->stored_bytes;
   // An empty stream still charges (and integrity-checks) one byte.
-  ROS_CO_ASSIGN_OR_RETURN(
-      std::vector<std::uint8_t> bytes,
-      co_await Read(std::move(image_id), 0, std::max<std::uint64_t>(1, n)));
-  bytes.resize(n);
-  co_return bytes;
+  ROS_CO_RETURN_IF_ERROR(co_await ChargeRead(
+      std::move(image_id), 0, std::max<std::uint64_t>(1, n)));
+  co_return n;
 }
 
 sim::Task<StatusOr<BurnResult>> OpticalDrive::BurnImage(

@@ -105,6 +105,12 @@ class OpticalDrive {
                                                       std::uint64_t offset,
                                                       std::uint64_t length);
 
+  // Read's whole path (mount, seek, transfer, aging, latent errors and
+  // the corruption check, with the same errors and counters) without
+  // copying the bytes out: for readers that only charge the optical time.
+  sim::Task<Status> ChargeRead(std::string image_id, std::uint64_t offset,
+                               std::uint64_t length);
+
   // Reads one burned image's whole serialized stream, the one timed way
   // an image stream comes off a disc. Mounts, looks up the session, charges
   // Read(image_id, 0, max(1, n)) for the session's n stored bytes,
@@ -113,6 +119,10 @@ class OpticalDrive {
   // sector, kFailedPrecondition on an empty drive.
   sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadImageStream(
       std::string image_id);
+
+  // ReadImageStream through ChargeRead: the same path and errors, and
+  // returns the stream's size n instead of its bytes.
+  sim::Task<StatusOr<std::uint64_t>> ChargeImageStream(std::string image_id);
 
   // Burns one disc image as a session. Payload may be sparse (shorter than
   // `logical_size`) and is shared, not copied, with the session that
@@ -154,6 +164,12 @@ class OpticalDrive {
 
  private:
   friend class DriveSet;
+
+  // The one body of Read and ChargeRead: charges the read and returns the
+  // checked session, which the caller may copy from before it suspends.
+  sim::Task<StatusOr<const Session*>> TimedRead(std::string image_id,
+                                                std::uint64_t offset,
+                                                std::uint64_t length);
 
   sim::Simulator& sim_;
   DriveSet* set_;  // may be null for a standalone drive

@@ -28,9 +28,11 @@ sim::Task<Status> NasServer::Upload(std::string path,
   disk::Volume* staging = olfs_->mv().volume();
   const std::string name = StagingName(ticket);
   ROS_CO_RETURN_IF_ERROR(co_await staging->Create(name));
-  // The SSD tier keeps up with the wire: the client sees wire speed.
+  // The SSD tier keeps up with the wire: the client sees wire speed. The
+  // delivery task carries the bytes and only charges reading them back,
+  // so staging charges the write without storing it.
   ROS_CO_RETURN_IF_ERROR(
-      co_await staging->AppendSparse(name, data, logical_size));
+      co_await staging->ChargeAppend(name, data.size(), logical_size));
   co_await sim_.Delay(
       sim::TransferTime(logical_size, config_.wire_bytes_per_sec));
 

@@ -195,8 +195,7 @@ std::uint64_t AuditArrayRoot(const AuditManifest& manifest) {
 
 std::vector<std::uint8_t> SerializeAuditManifest(
     const AuditManifest& manifest) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   PutU32(kVersion, &out);
   PutU64(static_cast<std::uint64_t>(manifest.tray_index), &out);
   PutU64(manifest.leaf_bytes, &out);

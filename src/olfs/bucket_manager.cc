@@ -131,10 +131,14 @@ sim::Task<StatusOr<WriteReceipt>> BucketManager::WriteFile(
     }
 
     // Split the real payload bytes covering [written, written + take).
+    const std::uint64_t real =
+        written < data.size()
+            ? std::min<std::uint64_t>(take, data.size() - written)
+            : 0;
     std::vector<std::uint8_t> piece;
-    if (written < data.size()) {
-      const std::uint64_t real =
-          std::min<std::uint64_t>(take, data.size() - written);
+    if (written == 0 && real == data.size()) {
+      piece = std::move(data);  // one part holds it all: no copy
+    } else if (real > 0) {
       piece.assign(data.begin() + static_cast<std::ptrdiff_t>(written),
                    data.begin() + static_cast<std::ptrdiff_t>(written + real));
     }
@@ -155,16 +159,10 @@ sim::Task<StatusOr<WriteReceipt>> BucketManager::WriteFile(
           "disk buffer full; waiting for the burn pipeline to reclaim "
           "space");
     }
-    std::vector<std::uint8_t> stored;
-    if (written < data.size()) {
-      const std::uint64_t real =
-          std::min<std::uint64_t>(take, data.size() - written);
-      stored.assign(data.begin() + static_cast<std::ptrdiff_t>(written),
-                    data.begin() +
-                        static_cast<std::ptrdiff_t>(written + real));
-    }
-    ROS_CO_RETURN_IF_ERROR(co_await volume->AppendSparse(
-        VolumeFileName(image.id()), std::move(stored), take));
+    // The image holds the payload; the buffer volume is only charged for
+    // it (its copy is never read back, DESIGN.md §5l).
+    ROS_CO_RETURN_IF_ERROR(co_await volume->ChargeAppend(
+        VolumeFileName(image.id()), real, take));
     bucket->payload_bytes += take;
 
     receipt.parts.push_back({image.id(), take});
@@ -202,11 +200,12 @@ sim::Task<Status> BucketManager::AppendToOpenFile(
     affinity_->RecordWrite(stream, image_id);
   }
   const std::string internal = InternalPath(path, version);
-  ROS_CO_RETURN_IF_ERROR(
-      current_->image->AppendToFile(internal, data, logical_grow));
+  const std::uint64_t real = data.size();
+  ROS_CO_RETURN_IF_ERROR(current_->image->AppendToFile(
+      internal, std::move(data), logical_grow));
   disk::Volume* volume = data_volumes_[current_->volume_index];
-  ROS_CO_RETURN_IF_ERROR(co_await volume->AppendSparse(
-      VolumeFileName(image_id), std::move(data), logical_grow));
+  ROS_CO_RETURN_IF_ERROR(co_await volume->ChargeAppend(
+      VolumeFileName(image_id), real, logical_grow));
   current_->payload_bytes += logical_grow;
   co_return OkStatus();
 }

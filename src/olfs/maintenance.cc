@@ -92,7 +92,7 @@ json::Value Maintenance::StatusReport() const {
         json::Value(FetchSchedulerStats::kDelayBucketUpperS[i]);
     bucket["count"] =
         json::Value(static_cast<std::int64_t>(stats.delay_hist[i]));
-    hist.push_back(json::Value(std::move(bucket)));
+    hist.emplace_back(std::move(bucket));
   }
   sched["queue_delay_histogram"] = json::Value(std::move(hist));
   report["fetch_scheduler"] = json::Value(std::move(sched));
@@ -236,7 +236,7 @@ json::Value Maintenance::StatusReport() const {
     if (record->disc.has_value()) {
       entry["disc"] = json::Value(record->disc->ToString());
     }
-    tiers.push_back(json::Value(std::move(entry)));
+    tiers.emplace_back(std::move(entry));
   }
   report["images"] = json::Value(std::move(tiers));
   return json::Value(std::move(report));
@@ -251,8 +251,8 @@ sim::Task<Status> Maintenance::Checkpoint() {
   for (int t = 0;
        t < olfs_->da_index().rollers() * mech::kTraysPerRoller; ++t) {
     switch (olfs_->da_index().state(mech::TrayAddress::FromIndex(t))) {
-      case ArrayState::kUsed: used.push_back(json::Value(t)); break;
-      case ArrayState::kFailed: failed.push_back(json::Value(t)); break;
+      case ArrayState::kUsed: used.emplace_back(t); break;
+      case ArrayState::kFailed: failed.emplace_back(t); break;
       case ArrayState::kEmpty: break;
     }
   }
@@ -276,10 +276,10 @@ sim::Task<Status> Maintenance::Checkpoint() {
     }
     json::Array members;
     for (const std::string& member : record->array_members) {
-      members.push_back(json::Value(member));
+      members.emplace_back(member);
     }
     entry["members"] = json::Value(std::move(members));
-    images.push_back(json::Value(std::move(entry)));
+    images.emplace_back(std::move(entry));
 
     // Persist the serialized structure of every image whose bytes live
     // only in controller memory + buffer (open buckets included: the

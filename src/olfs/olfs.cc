@@ -464,7 +464,6 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadEntry(
   const std::string internal = InternalPath(path, entry.version);
 
   std::vector<std::uint8_t> out;
-  out.reserve(length);
   std::uint64_t part_start = 0;
   for (const FilePart& part : entry.parts) {
     const std::uint64_t part_end = part_start + part.size;
@@ -475,7 +474,12 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadEntry(
           std::vector<std::uint8_t> piece,
           co_await ReadPart(internal, part, from - part_start, to - from,
                             hint));
-      out.insert(out.end(), piece.begin(), piece.end());
+      if (piece.size() == length) {
+        out = std::move(piece);  // one part covers the range: no copy
+      } else {
+        out.reserve(length);
+        out.insert(out.end(), piece.begin(), piece.end());
+      }
     }
     part_start = part_end;
     if (part_start >= offset + length) {
@@ -626,11 +630,14 @@ sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::MountParsedImage(
                           drive->disc()->FindSession(image_id));
   // The physical read of the whole serialized stream validates media
   // integrity (CRC); corrupted sectors surface here as kDataLoss. The
-  // caller charges the optical transfer it models.
-  ROS_CO_ASSIGN_OR_RETURN(
-      std::vector<std::uint8_t> stream,
-      drive->disc()->ReadSession(image_id, 0, session->stored_bytes));
-  ROS_CO_ASSIGN_OR_RETURN(udf::Image image, udf::Serializer::Parse(stream));
+  // caller charges the optical transfer it models, so the stream is
+  // parsed in place on the media.
+  ROS_CO_RETURN_IF_ERROR(drive->disc()
+                             ->CheckSessionRead(image_id, 0,
+                                                session->stored_bytes)
+                             .status());
+  ROS_CO_ASSIGN_OR_RETURN(udf::Image image,
+                          udf::Serializer::Parse(session->data()));
   auto view = std::make_shared<udf::Image>(std::move(image));
   disc_mounts_.emplace(std::move(image_id), view);
   co_return view;
@@ -652,10 +659,7 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDiscLeader(
   if (session.ok()) {
     const std::uint64_t n = std::min(length, (*session)->logical_size);
     if (n > 0) {
-      auto timed = co_await drive->Read(image_id, 0, n);
-      if (!timed.ok()) {
-        co_return timed.status();
-      }
+      ROS_CO_RETURN_IF_ERROR(co_await drive->ChargeRead(image_id, 0, n));
     }
   }
   co_return parsed->ReadFile(internal_path, offset, length);
@@ -715,7 +719,7 @@ sim::Task<void> Olfs::PrefetchTask(std::string image_id,
     // Charge the optical transfer of the whole file.
     auto session = drive->disc()->FindSession(image_id);
     if (session.ok() && size > 0) {
-      auto timed = co_await drive->Read(
+      Status timed = co_await drive->ChargeRead(
           image_id, 0, std::min(size, (*session)->logical_size));
       if (!timed.ok()) {
         break;
@@ -844,7 +848,7 @@ sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::ReadSiblingStream(
   ROS_CO_ASSIGN_OR_RETURN(std::shared_ptr<udf::Image> view,
                           co_await MountParsedImage(drive, image_id));
   // Charge the full-stream optical transfer.
-  auto timed = co_await drive->ReadImageStream(std::move(image_id));
+  auto timed = co_await drive->ChargeImageStream(std::move(image_id));
   if (!timed.ok()) {
     co_return timed.status();
   }

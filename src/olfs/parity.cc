@@ -82,11 +82,12 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     }
     // Real parity bytes are the serialized-stream parity; the disc
     // footprint matches the largest member image. The builder keeps the
-    // one retained copy (served by Get()); the compute buffer itself is
-    // moved into the volume write.
-    parity.bytes = MakeSharedBytes(payloads[static_cast<std::size_t>(p)]);
-    ROS_CO_RETURN_IF_ERROR(co_await volume->AppendSparse(
-        file, std::move(payloads[static_cast<std::size_t>(p)]),
+    // one copy (served by Get()): the compute buffer moves into it, and
+    // the buffer volume is only charged for the write.
+    parity.bytes =
+        MakeSharedBytes(std::move(payloads[static_cast<std::size_t>(p)]));
+    ROS_CO_RETURN_IF_ERROR(co_await volume->ChargeAppend(
+        file, parity.bytes->size(),
         std::max<std::uint64_t>(max_logical, parity.bytes->size())));
     ROS_CO_RETURN_IF_ERROR(images_->RegisterParity(
         parity.id, parity_volume_index % static_cast<int>(data_volumes.size()),

@@ -18,11 +18,8 @@ sim::Task<StatusOr<std::uint64_t>> ScrubManager::ScrubOneImage(
       FetchLease lease,
       co_await olfs_->fetches().FetchDiscBackground(image_id));
   // The full-stream optical read is also what advances the media aging
-  // clock on the disc (OpticalDrive::Read).
-  ROS_CO_ASSIGN_OR_RETURN(
-      std::vector<std::uint8_t> stream,
-      co_await lease.drive()->ReadImageStream(std::move(image_id)));
-  co_return stream.size();
+  // clock on the disc (OpticalDrive::Read); only its size is kept.
+  co_return co_await lease.drive()->ChargeImageStream(std::move(image_id));
 }
 
 sim::Task<StatusOr<ScrubPassReport>> ScrubManager::RunPass() {

@@ -110,6 +110,9 @@ class RosSystem {
     return data_volume_ptrs_;
   }
   disk::RaidVolume* data_raid(int i) { return data_raids_.at(i).get(); }
+  // The disk buffer's member HDDs, volume by volume.
+  int hdd_count() const { return static_cast<int>(hdds_.size()); }
+  const disk::StorageDevice& hdd(int i) const { return *hdds_.at(i); }
   disk::RaidVolume* mv_raid() { return mv_raid_.get(); }
   mech::Library* library() { return library_.get(); }
   const std::vector<drive::DriveSet*>& drive_sets() const {

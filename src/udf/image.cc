@@ -229,13 +229,17 @@ StatusOr<std::vector<std::uint8_t>> Image::ReadFile(
       length > node->logical_size - offset) {
     return OutOfRangeError("read beyond file end");
   }
-  std::vector<std::uint8_t> out(length, 0);
+  // Copy the stored bytes, then zero-fill the sparse tail: each output
+  // byte is written once.
+  std::vector<std::uint8_t> out;
+  out.reserve(length);
   if (offset < node->data.size()) {
     const std::uint64_t n =
         std::min<std::uint64_t>(length, node->data.size() - offset);
-    std::copy_n(node->data.begin() + static_cast<std::ptrdiff_t>(offset), n,
-                out.begin());
+    const auto from = node->data.begin() + static_cast<std::ptrdiff_t>(offset);
+    out.assign(from, from + static_cast<std::ptrdiff_t>(n));
   }
+  out.resize(length, 0);
   return out;
 }
 

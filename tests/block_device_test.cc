@@ -108,13 +108,14 @@ TEST_F(BlockDeviceTest, ReplaceClearsContents) {
 
 TEST_F(BlockDeviceTest, VectoredIoChargesOneLatency) {
   StorageDevice device(sim_, "hdd0", 10 * kGiB, HddPerf());
-  std::vector<StorageDevice::Segment> segs;
+  const std::vector<std::uint8_t> ones(10 * kMB, 1);
+  std::vector<StorageDevice::Extent> extents;
   for (int i = 0; i < 10; ++i) {
-    segs.push_back({static_cast<std::uint64_t>(i) * 10 * kMB,
-                    std::vector<std::uint8_t>(10 * kMB, 1)});
+    extents.push_back(
+        {static_cast<std::uint64_t>(i) * 10 * kMB, ones.size(), ones.data()});
   }
   sim::TimePoint t0 = sim_.now();
-  ASSERT_TRUE(sim_.RunUntilComplete(device.WriteMulti(std::move(segs))).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(device.WriteExtents(extents)).ok());
   // 100 MB at 200 MB/s + one 8 ms latency = 0.508 s.
   EXPECT_NEAR(ToSeconds(sim_.now() - t0), 0.508, 1e-6);
 

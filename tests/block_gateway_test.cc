@@ -91,8 +91,10 @@ TEST_F(BlockGatewayTest, OverwritePreservesNeighbours) {
 
   auto read = sim_.RunUntilComplete(lun_->ReadBlocks(10, 8));
   ASSERT_TRUE(read.ok());
-  std::vector<std::uint8_t> expect = first;
-  std::copy(overwrite.begin(), overwrite.end(), expect.begin() + 2 * 512);
+  // Blocks 10-11 and 14-17 from the first write, 12-13 overwritten.
+  std::vector<std::uint8_t> expect(first.begin(), first.begin() + 2 * 512);
+  expect.insert(expect.end(), overwrite.begin(), overwrite.end());
+  expect.insert(expect.end(), first.begin() + 4 * 512, first.end());
   EXPECT_EQ(*read, expect);
 }
 

@@ -9,6 +9,7 @@
 
 #include "src/common/units.h"
 #include "src/drive/disc.h"
+#include "src/sim/fault.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -173,6 +174,107 @@ TEST_F(OpticalDriveTest, ReadImageStreamErrors) {
                 .status()
                 .code(),
             StatusCode::kDataLoss);
+}
+
+// Two sparse sessions, "a" then "b", with the same stored prefix.
+std::unique_ptr<Disc> TwoSessionDisc() {
+  auto disc = BlankDisc(DiscType::kBdr25);
+  std::vector<std::uint8_t> stored(64 * kKiB);
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    stored[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  ROS_CHECK(disc->AppendSession("a", 10 * kMB, MakeSharedBytes(stored), true)
+                .ok());
+  ROS_CHECK(disc->AppendSession("b", 10 * kMB, MakeSharedBytes(stored), true)
+                .ok());
+  return disc;
+}
+
+// ChargeRead is Read without the copy: twin drives over twin discs, each
+// on its own clock, take the same reads (sequential runs, seeks, file
+// switches, out-of-range and absent images), one through Read and one
+// through ChargeRead, and must agree on every duration, status, counter
+// and corrupted sector. The faulty pass adds injected latent sector
+// errors and fast media aging; the clean pass a corrupted sector.
+TEST_F(OpticalDriveTest, ChargeReadChargesExactlyLikeRead) {
+  struct Op {
+    std::string image;
+    std::uint64_t offset;
+    std::uint64_t length;
+  };
+  const std::vector<Op> ops = {
+      {"a", 0, kMB},        {"a", kMB, kMB},      {"a", 5 * kMB, 100},
+      {"b", 0, kMB},        {"b", kMB, 32 * kKiB}, {"a", 0, 64 * kKiB},
+      {"a", 9 * kMB, 2 * kMB}, {"zz", 0, 1},       {"b", 2 * kMB, kMB}};
+  for (const bool faulty : {false, true}) {
+    sim::Simulator clock_b;
+    auto disc_a = TwoSessionDisc();
+    auto disc_b = TwoSessionDisc();
+    OpticalDrive a(sim_, nullptr, 0);
+    OpticalDrive b(clock_b, nullptr, 0);
+    ASSERT_TRUE(a.InsertDisc(disc_a.get()).ok());
+    ASSERT_TRUE(b.InsertDisc(disc_b.get()).ok());
+    sim::FaultInjector faults_a(/*seed=*/9);
+    sim::FaultInjector faults_b(/*seed=*/9);
+    MediaAgingParams aging;
+    aging.enabled = true;
+    aging.lse_per_sector_year = 1e-3;
+    aging.read_fault_per_year = 1e6;
+    aging.epoch_ns = Seconds(1);
+    if (faulty) {
+      for (sim::FaultInjector* faults : {&faults_a, &faults_b}) {
+        faults->SetRate(sim::FaultKind::kLatentSectorError, 0.1);
+      }
+      a.set_fault_injector(&faults_a);
+      b.set_fault_injector(&faults_b);
+      a.set_aging_model(&aging);
+      b.set_aging_model(&aging);
+      disc_a->StampBirth(sim_.now());
+      disc_b->StampBirth(clock_b.now());
+    }
+    int data_loss = 0;
+    for (int round = 0; round < 4; ++round) {
+      if (!faulty && round == 2) {
+        disc_a->CorruptSector(2 * kMB / kSectorSize);
+        disc_b->CorruptSector(2 * kMB / kSectorSize);
+      }
+      for (const Op& op : ops) {
+        const std::string where = (faulty ? "faulty round " : "round ") +
+                                  std::to_string(round) + " " + op.image +
+                                  "@" + std::to_string(op.offset);
+        const sim::TimePoint start_a = sim_.now();
+        const sim::TimePoint start_b = clock_b.now();
+        auto read = sim_.RunUntilComplete(
+            a.Read(op.image, op.offset, op.length));
+        const Status charged = clock_b.RunUntilComplete(
+            b.ChargeRead(op.image, op.offset, op.length));
+        EXPECT_EQ(read.status().code(), charged.code()) << where;
+        EXPECT_EQ(sim_.now() - start_a, clock_b.now() - start_b) << where;
+        EXPECT_EQ(a.bytes_read(), b.bytes_read()) << where;
+        EXPECT_EQ(a.busy_time(), b.busy_time()) << where;
+        EXPECT_EQ(disc_a->ScrubForErrors(), disc_b->ScrubForErrors())
+            << where;
+        if (read.ok()) {
+          EXPECT_EQ(read->size(), op.length) << where;
+        }
+        data_loss += charged.code() == StatusCode::kDataLoss;
+      }
+    }
+    EXPECT_GT(data_loss, 0) << (faulty ? "faulty" : "clean");
+    // The whole-stream charge agrees with the whole-stream read.
+    for (const char* image : {"a", "b"}) {
+      const sim::TimePoint start_a = sim_.now();
+      const sim::TimePoint start_b = clock_b.now();
+      auto stream = sim_.RunUntilComplete(a.ReadImageStream(image));
+      auto size = clock_b.RunUntilComplete(b.ChargeImageStream(image));
+      EXPECT_EQ(stream.status().code(), size.status().code()) << image;
+      if (stream.ok() && size.ok()) {
+        EXPECT_EQ(stream->size(), *size) << image;
+      }
+      EXPECT_EQ(sim_.now() - start_a, clock_b.now() - start_b) << image;
+      EXPECT_EQ(a.bytes_read(), b.bytes_read()) << image;
+    }
+  }
 }
 
 // Sequential continuation does not seek; switching files does.

@@ -1,8 +1,13 @@
-// Tests of the RAID controller write-back cache and the sparse/discard
-// I/O paths (the timing machinery behind PB-scale experiments).
+// Tests of the RAID controller write-back cache, the sparse/discard I/O
+// paths (the timing machinery behind PB-scale experiments) and the
+// charge-only write.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/disk/raid.h"
@@ -17,8 +22,20 @@ using sim::Seconds;
 using sim::ToMillis;
 using sim::ToSeconds;
 
+// `n` seeded bytes, eight per draw.
+std::vector<std::uint8_t> SeededBytes(std::uint64_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint64_t i = 0; i < n; i += 8) {
+    const std::uint64_t word = rng.Next();
+    std::memcpy(out.data() + i, &word, std::min<std::uint64_t>(8, n - i));
+  }
+  return out;
+}
+
 struct Rig {
-  explicit Rig(int n = 7, std::uint64_t cap = 2 * kGiB) {
+  explicit Rig(int n = 7, std::uint64_t cap = 2 * kGiB,
+               RaidLevel level = RaidLevel::kRaid5) {
     for (int i = 0; i < n; ++i) {
       devices.push_back(std::make_unique<StorageDevice>(
           sim, "hdd" + std::to_string(i), cap, HddPerf()));
@@ -27,7 +44,7 @@ struct Rig {
     for (auto& d : devices) {
       ptrs.push_back(d.get());
     }
-    volume = std::make_unique<RaidVolume>(sim, RaidLevel::kRaid5, ptrs);
+    volume = std::make_unique<RaidVolume>(sim, level, ptrs);
   }
 
   // Destroy suspended background coroutines (destage writes) while the
@@ -156,6 +173,53 @@ TEST(SparseIo, AppendSparseChargesFullTimeStoresLittle) {
   EXPECT_EQ(*tail, std::vector<std::uint8_t>(4, 0));
 }
 
+// The bucket writer's charge: ChargeAppend over a journaled buffer
+// volume costs exactly what AppendSparse of real bytes does, file by
+// file, including files that span extents freed by a delete.
+TEST(SparseIo, ChargeAppendChargesLikeAppendSparse) {
+  Rig stored;
+  Rig charged;
+  Volume stored_volume(stored.sim, stored.volume.get());
+  Volume charged_volume(charged.sim, charged.volume.get());
+  Rng rng(11);
+  for (int op = 0; op < 24; ++op) {
+    const std::string name = "/img-" + std::to_string(op % 6);
+    const std::uint64_t real = op % 5 == 0 ? 0 : rng.Between(1, 3 * kMiB);
+    const std::uint64_t logical = real + rng.Below(2 * kMiB);
+    for (auto [rig, volume] : {std::pair{&stored, &stored_volume},
+                               std::pair{&charged, &charged_volume}}) {
+      if (op % 6 == 0 && volume->Exists(name)) {
+        ASSERT_TRUE(rig->sim.RunUntilComplete(volume->Delete(name)).ok());
+      }
+      if (!volume->Exists(name)) {
+        ASSERT_TRUE(rig->sim.RunUntilComplete(volume->Create(name)).ok());
+      }
+    }
+    ASSERT_TRUE(stored.sim
+                    .RunUntilComplete(stored_volume.AppendSparse(
+                        name, SeededBytes(real, op), logical))
+                    .ok());
+    ASSERT_TRUE(charged.sim
+                    .RunUntilComplete(
+                        charged_volume.ChargeAppend(name, real, logical))
+                    .ok());
+    EXPECT_EQ(stored.sim.now(), charged.sim.now()) << op;
+    EXPECT_EQ(*stored_volume.FileSize(name), *charged_volume.FileSize(name));
+    EXPECT_EQ(stored_volume.used_blocks(), charged_volume.used_blocks());
+    for (int i = 0; i < 7; ++i) {
+      EXPECT_EQ(stored.devices[i]->bytes_written(),
+                charged.devices[i]->bytes_written())
+          << op;
+      EXPECT_EQ(stored.devices[i]->busy_time(),
+                charged.devices[i]->busy_time())
+          << op;
+    }
+  }
+  stored.sim.Run();
+  charged.sim.Run();
+  EXPECT_EQ(stored.sim.now(), charged.sim.now());
+}
+
 TEST(SparseIo, ReadDiscardMatchesRealReadTiming) {
   Rig rig;
   Volume volume(rig.sim, rig.volume.get(),
@@ -186,6 +250,143 @@ TEST(SparseIo, SequentialDiscardStreamsWithoutSeekStorms) {
   }
   const double rate = 128e6 / ToSeconds(rig.sim.now() - t0);
   EXPECT_GT(rate, 0.8e9);  // no per-append positioning penalty
+}
+
+// ---------------------------------------------------------------------------
+// ChargeWrite against Write: twin rigs take the same seeded writes, one
+// storing them and one only charging them, and must agree on every
+// timing and counter while the charged twin keeps its earlier bytes.
+
+struct ChargeCase {
+  RaidLevel level;
+  int devices;
+  bool write_cache;
+  bool degraded;
+};
+
+// Everything a charge must reproduce, at one instant.
+void ExpectSameCharge(const Rig& stored, const Rig& charged,
+                      const std::string& where) {
+  EXPECT_EQ(stored.sim.now(), charged.sim.now()) << where;
+  EXPECT_EQ(stored.volume->dirty_bytes(), charged.volume->dirty_bytes())
+      << where;
+  EXPECT_EQ(stored.volume->bytes_written(), charged.volume->bytes_written())
+      << where;
+  EXPECT_EQ(stored.volume->bytes_read(), charged.volume->bytes_read())
+      << where;
+  for (std::size_t i = 0; i < stored.devices.size(); ++i) {
+    EXPECT_EQ(stored.devices[i]->bytes_written(),
+              charged.devices[i]->bytes_written())
+        << where << " device " << i;
+    EXPECT_EQ(stored.devices[i]->bytes_read(),
+              charged.devices[i]->bytes_read())
+        << where << " device " << i;
+    EXPECT_EQ(stored.devices[i]->busy_time(), charged.devices[i]->busy_time())
+        << where << " device " << i;
+  }
+}
+
+class ChargeWriteTest : public ::testing::TestWithParam<ChargeCase> {};
+
+TEST_P(ChargeWriteTest, ChargesExactlyWhatWriteChargesAndStoresNothing) {
+  const ChargeCase c = GetParam();
+  Rig stored(c.devices, 256 * kMiB, c.level);
+  Rig charged(c.devices, 256 * kMiB, c.level);
+  // Both twins start from the same stored contents...
+  constexpr std::uint64_t kRegion = 24 * kMiB;
+  const std::vector<std::uint8_t> before = SeededBytes(kRegion, 7);
+  for (Rig* rig : {&stored, &charged}) {
+    rig->volume->set_write_cache(c.write_cache);
+    ASSERT_TRUE(
+        rig->sim.RunUntilComplete(rig->volume->Write(0, before)).ok());
+    rig->sim.Run();
+    if (c.degraded) {
+      rig->devices[1]->Fail();
+    }
+  }
+  ExpectSameCharge(stored, charged, "prefill");
+
+  // ...then take unaligned writes of every size class: sub-stripe and
+  // multi-stripe cached writes, writes past the cache's size limit, and a
+  // burst of cache-sized writes that, while the cache takes them, runs
+  // into the dirty limit.
+  const bool cached = c.write_cache && !c.degraded;
+  Rng rng(static_cast<std::uint64_t>(c.level) * 16 + c.devices);
+  std::vector<std::uint8_t> expected = before;
+  std::uint64_t max_dirty = 0;
+  for (int op = 0; op < (cached ? 100 : 60); ++op) {
+    std::uint64_t length = rng.Between(1, 300 * kKiB);
+    if (op >= 50) {
+      length = RaidVolume::kCacheMaxWrite - rng.Below(4 * kKiB);
+    } else if (op % 10 == 9) {
+      length = rng.Between(RaidVolume::kCacheMaxWrite + 1, 9 * kMiB);
+    }
+    const std::uint64_t offset = rng.Below(kRegion - length);
+    const std::vector<std::uint8_t> data = SeededBytes(length, rng.Next());
+    std::copy(data.begin(), data.end(),
+              expected.begin() + static_cast<std::ptrdiff_t>(offset));
+    const std::string where = "op " + std::to_string(op);
+    ASSERT_TRUE(
+        stored.sim.RunUntilComplete(stored.volume->Write(offset, data)).ok())
+        << where;
+    ASSERT_TRUE(charged.sim
+                    .RunUntilComplete(
+                        charged.volume->ChargeWrite(offset, length))
+                    .ok())
+        << where;
+    ExpectSameCharge(stored, charged, where);
+    max_dirty = std::max(max_dirty, stored.volume->dirty_bytes());
+  }
+  if (cached) {
+    // The burst outran the destage, so writers stalled on the limit.
+    EXPECT_GT(max_dirty,
+              RaidVolume::kCacheDirtyLimit - RaidVolume::kCacheMaxWrite);
+  }
+  stored.sim.Run();
+  charged.sim.Run();
+  ExpectSameCharge(stored, charged, "drained");
+
+  // The stored twin reads back what was written, the charged twin what it
+  // held before (reconstructed around the failed member when degraded).
+  auto now = stored.sim.RunUntilComplete(stored.volume->Read(0, kRegion));
+  ASSERT_TRUE(now.ok()) << now.status().ToString();
+  EXPECT_TRUE(*now == expected);
+  auto kept = charged.sim.RunUntilComplete(charged.volume->Read(0, kRegion));
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_TRUE(*kept == before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LevelsCacheHealth, ChargeWriteTest,
+    ::testing::Values(ChargeCase{RaidLevel::kRaid1, 2, true, false},
+                      ChargeCase{RaidLevel::kRaid1, 2, true, true},
+                      ChargeCase{RaidLevel::kRaid1, 2, false, false},
+                      ChargeCase{RaidLevel::kRaid1, 2, false, true},
+                      ChargeCase{RaidLevel::kRaid5, 5, true, false},
+                      ChargeCase{RaidLevel::kRaid5, 5, true, true},
+                      ChargeCase{RaidLevel::kRaid5, 5, false, false},
+                      ChargeCase{RaidLevel::kRaid5, 5, false, true},
+                      ChargeCase{RaidLevel::kRaid6, 6, true, false},
+                      ChargeCase{RaidLevel::kRaid6, 6, true, true},
+                      ChargeCase{RaidLevel::kRaid6, 6, false, false},
+                      ChargeCase{RaidLevel::kRaid6, 6, false, true}));
+
+TEST(ChargeWrite, RawDeviceStoresNothing) {
+  sim::Simulator sim;
+  StorageDevice stored(sim, "a", kGiB, HddPerf());
+  StorageDevice charged(sim, "b", kGiB, HddPerf());
+  ASSERT_TRUE(sim.RunUntilComplete(
+                  stored.Write(100, std::vector<std::uint8_t>(kMiB, 3)))
+                  .ok());
+  const sim::TimePoint t = sim.now();
+  ASSERT_TRUE(sim.RunUntilComplete(charged.ChargeWrite(100, kMiB)).ok());
+  EXPECT_EQ(sim.now() - t, t);  // the same request time from time zero
+  EXPECT_EQ(charged.bytes_written(), stored.bytes_written());
+  EXPECT_EQ(charged.busy_time(), stored.busy_time());
+  EXPECT_EQ(stored.stored_bytes(), 17 * 64 * kKiB);  // chunks touched
+  EXPECT_EQ(charged.stored_bytes(), 0u);
+  EXPECT_EQ(sim.RunUntilComplete(charged.ChargeWrite(kGiB, 1)).code(),
+            StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -107,6 +107,57 @@ TEST_F(StreamCacheTest, EachClosedImageIsSerializedOnce) {
   }
 }
 
+// The disk buffer is charged for every payload byte but stores none of
+// them: the image and its stream hold the bytes, and nothing reads the
+// buffer's copy back. A checkpoint is a real file, so it is stored, and
+// restoring from it brings the buffered and burned files back.
+TEST_F(StreamCacheTest, BufferVolumesStoreNoPayload) {
+  IngestAndBurn();
+  // Only the volumes' journaled metadata block is stored: one 64 KiB
+  // chunk per member.
+  ASSERT_GT(system_->hdd_count(), 0);
+  for (int i = 0; i < system_->hdd_count(); ++i) {
+    EXPECT_LE(system_->hdd(i).stored_bytes(), 64 * kKiB) << "hdd " << i;
+    EXPECT_GT(system_->hdd(i).bytes_written(), 5 * kMiB) << "hdd " << i;
+  }
+  const std::vector<std::uint8_t> buffered(40 * kKiB, 0x5a);
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                      olfs_->Create("/s/buffered", buffered, 3 * kMiB))
+                  .ok());
+
+  Maintenance before(olfs_.get());
+  ASSERT_TRUE(sim_.RunUntilComplete(before.Checkpoint()).ok());
+  std::uint64_t stored = 0;
+  for (int i = 0; i < system_->hdd_count(); ++i) {
+    stored += system_->hdd(i).stored_bytes();
+  }
+  EXPECT_GT(stored, system_->hdd_count() * 64 * kKiB);  // checkpoint files
+
+  // A new controller over the same rack restores from the checkpoint.
+  sim_.Shutdown();
+  OlfsParams params;
+  params.disc_type = drive::DiscType::kBdr25;
+  params.disc_capacity_override = 16 * kMiB;
+  olfs_ = std::make_unique<Olfs>(sim_, system_.get(), params);
+  Maintenance after(olfs_.get());
+  ASSERT_TRUE(sim_.RunUntilComplete(after.RestoreFromCheckpoint()).ok());
+  auto read = sim_.RunUntilComplete(
+      olfs_->Read("/s/buffered", 0, buffered.size()));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, buffered);
+  for (int i = 0; i < 6; ++i) {
+    std::vector<std::uint8_t> expected(32 * kKiB);
+    Rng rng(static_cast<std::uint64_t>(i) + 1);
+    for (auto& b : expected) {
+      b = static_cast<std::uint8_t>(rng.Next());
+    }
+    read = sim_.RunUntilComplete(
+        olfs_->Read("/s/f" + std::to_string(i), 0, expected.size()));
+    ASSERT_TRUE(read.ok()) << i << ": " << read.status().ToString();
+    EXPECT_EQ(*read, expected) << i;
+  }
+}
+
 TEST_F(StreamCacheTest, ReburnOntoSpareMediaReusesTheStream) {
   sim::FaultInjector faults(/*seed=*/5);
   faults.FailNth(sim::FaultKind::kBurnFailure, /*site=*/"", /*nth=*/1);

@@ -174,22 +174,6 @@ TEST_F(VolumeTest, CountAndAnyWithPrefix) {
   EXPECT_FALSE(volume_.AnyWithPrefix("/a/4"));
 }
 
-TEST_F(VolumeTest, ForEachPrefixVisitsInOrderWithSizes) {
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/p/b")).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/p/a")).ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Write("/p/a", 0, Bytes("xy")))
-                  .ok());
-  ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create("/q")).ok());
-  std::vector<std::pair<std::string, std::uint64_t>> seen;
-  volume_.ForEachPrefix("/p/", [&seen](const std::string& name,
-                                       std::uint64_t size) {
-    seen.emplace_back(name, size);
-  });
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], (std::pair<std::string, std::uint64_t>{"/p/a", 2u}));
-  EXPECT_EQ(seen[1], (std::pair<std::string, std::uint64_t>{"/p/b", 0u}));
-}
-
 TEST_F(VolumeTest, FirstWithPrefixSeeksInOrder) {
   for (const char* name : {"/c", "/d/file", "/d/sub", "/d/sub/a", "/e"}) {
     ASSERT_TRUE(sim_.RunUntilComplete(volume_.Create(name)).ok());
