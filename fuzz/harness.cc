@@ -6,7 +6,9 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/olfs/audit.h"
 #include "src/olfs/index_file.h"
@@ -77,8 +79,13 @@ void FuzzIndexFile(const std::uint8_t* data, std::size_t size) {
 }
 
 void FuzzUdfImage(const std::uint8_t* data, std::size_t size) {
-  const std::span<const std::uint8_t> bytes(data, size);
-  StatusOr<udf::Image> parsed = udf::Serializer::Parse(bytes);
+  // Parse in place on a private copy, then drop this function's reference
+  // to it: every later read goes through the views the image keeps alive
+  // (a dangling view is a use-after-free under ASan).
+  SharedBytes input =
+      MakeSharedBytes(std::vector<std::uint8_t>(data, data + size));
+  StatusOr<udf::Image> parsed = udf::Serializer::Parse(input);
+  input.reset();
   if (!parsed.ok()) {
     Require(IsCleanParseFailure(parsed.status()),
             "Serializer::Parse failed with a non-parse status");
@@ -89,15 +96,29 @@ void FuzzUdfImage(const std::uint8_t* data, std::size_t size) {
   parsed->Walk([&](const std::string& path, const udf::Node& node) {
     ++walked;
     if (node.type == udf::NodeType::kFile) {
-      (void)parsed->ReadFile(path, 0, node.data.size());
+      const std::span<const std::uint8_t> stored = node.bytes();
+      StatusOr<std::vector<std::uint8_t>> bytes =
+          parsed->ReadFile(path, 0, stored.size());
+      Require(bytes.ok(), "ReadFile of a parsed file failed");
+      Require(std::equal(stored.begin(), stored.end(), bytes->begin(),
+                         bytes->end()),
+              "ReadFile disagrees with the parsed payload");
     }
   });
   Require(walked >= parsed->file_count(), "Walk lost file nodes");
+  Require(parsed->owned_payload_bytes() == 0,
+          "an in-place parse copied file payload");
 
-  // Round trip: Serialize(Parse(x)) is a fixed point of Parse∘Serialize.
+  // Round trip: Serialize(Parse(x)) is a fixed point of Parse∘Serialize,
+  // and an image sealed on its input re-serializes to exactly that input.
   const std::vector<std::uint8_t> ser1 = udf::Serializer::Serialize(*parsed);
+  if (const SharedBytes sealed = parsed->stream(); sealed != nullptr) {
+    Require(*sealed == ser1, "sealed stream differs from Serialize");
+  }
   StatusOr<udf::Image> reparsed = udf::Serializer::Parse(ser1);
   Require(reparsed.ok(), "re-serialized image does not parse");
+  Require(reparsed->stream() != nullptr,
+          "a serialized image does not parse sealed");
   Require(udf::Serializer::Serialize(*reparsed) == ser1,
           "UDF Serialize/Parse is not idempotent");
 }

@@ -356,8 +356,11 @@ class Parser {
     }
     while (true) {
       SkipSpace();
-      ROS_ASSIGN_OR_RETURN(Value v, ParseValue());
-      arr.push_back(std::move(v));
+      StatusOr<Value> v = ParseValue();
+      if (!v.ok()) {
+        return v.status();
+      }
+      arr.push_back(std::move(v).value());
       SkipSpace();
       if (Consume(']')) {
         --depth_;

@@ -60,7 +60,8 @@ StatusOr<std::string> ObjectStore::ObjectPath(const std::string& bucket,
     if (component.empty() || component == "." || component == "..") {
       return InvalidArgumentError("bad key component in " + key);
     }
-    path += "/" + EscapeComponent(component);
+    path += '/';
+    path += EscapeComponent(component);
     start = slash + 1;
   }
   return path;

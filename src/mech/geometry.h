@@ -50,9 +50,16 @@ struct TrayAddress {
     return addr;
   }
 
+  // Appended piecewise: `"r" + std::to_string(...)` prepends into the
+  // temporary, which GCC 12 at -O3 misreports as an overlapping copy.
   std::string ToString() const {
-    return "r" + std::to_string(roller) + "/L" + std::to_string(layer) + "/s" +
-           std::to_string(slot);
+    std::string out = "r";
+    out += std::to_string(roller);
+    out += "/L";
+    out += std::to_string(layer);
+    out += "/s";
+    out += std::to_string(slot);
+    return out;
   }
 };
 

@@ -347,10 +347,6 @@ sim::Task<Status> BurnManager::FinishJob(BurnJob& job) {
                         << " failed: " << audited.ToString();
     }
   }
-  // The discs now hold the streams; the records stop holding them.
-  for (const std::string& id : job.image_ids) {
-    ROS_CO_RETURN_IF_ERROR(images_->ReleaseStream(id));
-  }
   ROS_CO_RETURN_IF_ERROR(co_await PersistDilIndex());
   ROS_CO_RETURN_IF_ERROR(co_await EvictCacheOverflow());
   ROS_LOG(kInfo) << "burned disc array " << job.tray.ToString();

@@ -50,7 +50,7 @@ Status DiscImageStore::MarkClosed(const std::string& id) {
     return FailedPreconditionError("image " + id + " not an open bucket");
   }
   record->tier = ImageTier::kBuffered;
-  record->image->Close();
+  Seal(*record->image);
   record->logical_bytes = record->image->used_bytes();
   buffered_bytes_ += record->logical_bytes;
   close_order_.push_back(id);
@@ -79,7 +79,6 @@ Status DiscImageStore::DropFromBuffer(const std::string& id) {
   }
   record->tier = ImageTier::kBurnedOnly;
   record->image.reset();
-  ResetStream(*record);
   buffered_bytes_ -= record->logical_bytes;
   record->volume_file.clear();
   return OkStatus();
@@ -95,7 +94,6 @@ Status DiscImageStore::RestoreToBuffer(const std::string& id,
   }
   record->tier = ImageTier::kBurnedCached;
   record->image = std::move(image);
-  ResetStream(*record);
   record->volume_index = volume_index;
   record->volume_file = std::move(volume_file);
   buffered_bytes_ += record->logical_bytes;
@@ -109,35 +107,15 @@ StatusOr<SharedBytes> DiscImageStore::Stream(const std::string& id) {
     return FailedPreconditionError("image " + id +
                                    " is not a closed, buffered data image");
   }
-  if (record->stream != nullptr) {
-    return record->stream;
-  }
-  if (SharedBytes burned = record->burned_stream.lock()) {
-    return burned;
-  }
-  SharedBytes stream =
-      MakeSharedBytes(udf::Serializer::Serialize(*record->image));
-  ++streams_materialized_;
-  if (record->tier == ImageTier::kBuffered) {
-    record->stream = stream;  // held until its array is burned
-  } else {
-    record->burned_stream = stream;
-  }
-  return stream;
+  Seal(*record->image);
+  return record->image->stream();
 }
 
-Status DiscImageStore::ReleaseStream(const std::string& id) {
-  ROS_ASSIGN_OR_RETURN(ImageRecord* record, LookupMutable(id));
-  if (record->stream != nullptr) {
-    record->burned_stream = record->stream;
-    record->stream.reset();
+void DiscImageStore::Seal(udf::Image& image) {
+  if (image.stream() == nullptr) {
+    udf::Serializer::Seal(image);
+    ++streams_materialized_;
   }
-  return OkStatus();
-}
-
-void DiscImageStore::ResetStream(ImageRecord& record) {
-  record.stream.reset();
-  record.burned_stream.reset();
 }
 
 Status DiscImageStore::SetArrayMembers(
@@ -178,7 +156,6 @@ Status DiscImageStore::ReopenForRepair(const std::string& id,
   record->tier = ImageTier::kBuffered;
   record->disc.reset();
   record->image = std::move(image);
-  ResetStream(*record);
   record->volume_index = volume_index;
   record->volume_file = std::move(volume_file);
   record->logical_bytes = record->image->used_bytes();

@@ -31,7 +31,10 @@ enum class ImageTier {
 
 struct ImageRecord {
   std::string id;
-  // In-memory UDF structure; present unless kBurnedOnly.
+  // In-memory UDF structure; present unless kBurnedOnly. Once a data
+  // image closes it is sealed on its serialized stream (DESIGN.md §5l),
+  // which the parity sweep, the burn, the audit manifest, the checkpoint
+  // and the disc sessions burned from it all share.
   std::shared_ptr<udf::Image> image;
   bool parity = false;
   ImageTier tier = ImageTier::kOpenBucket;
@@ -44,14 +47,6 @@ struct ImageRecord {
   // All images (data then parity) burned in the same disc array; set at
   // burn completion, used by the scrubber's parity recovery (§4.7).
   std::vector<std::string> array_members;
-  // Canonical serialized stream of a closed data image, materialized once
-  // by DiscImageStore::Stream and shared by the parity sweep, the burn,
-  // the audit manifest and the checkpoint (DESIGN.md §5l). Held until the
-  // array's burn finishes; from then on only `burned_stream` refers to it,
-  // and the disc sessions burned from it keep it alive. Both are reset
-  // whenever `image` is replaced or dropped.
-  SharedBytes stream;
-  std::weak_ptr<const std::vector<std::uint8_t>> burned_stream;
 };
 
 class DiscImageStore {
@@ -64,7 +59,7 @@ class DiscImageStore {
   Status RegisterParity(const std::string& id, int volume_index,
                         std::string volume_file, std::uint64_t bytes);
 
-  // Bucket closed -> unburned data image.
+  // Bucket closed -> unburned data image, sealed on its stream.
   Status MarkClosed(const std::string& id);
 
   // Image burned onto `disc`; stays cached until evicted.
@@ -78,19 +73,13 @@ class DiscImageStore {
                          std::shared_ptr<udf::Image> image,
                          int volume_index, std::string volume_file);
 
-  // The canonical serialized stream of a closed, buffered data image:
-  // serialized on first use, then the same shared bytes for every caller
-  // while the record or a disc holds them. kFailedPrecondition for parity
-  // images, open buckets and images not in the buffer.
+  // The serialized stream a closed, buffered data image is sealed on. An
+  // image that entered the buffer unsealed (parsed from bytes that were
+  // not its canonical stream) is sealed on first use. kFailedPrecondition
+  // for parity images, open buckets and images not in the buffer.
   StatusOr<SharedBytes> Stream(const std::string& id);
 
-  // The array holding `id` is burned and audited: the record stops holding
-  // its stream (the discs do). Later Stream() calls reuse the burned bytes
-  // while a disc still holds them, and otherwise re-serialize without
-  // keeping the result.
-  Status ReleaseStream(const std::string& id);
-
-  // Test hook: how many times Stream() has serialized an image.
+  // Test hook: how many times an image has been serialized to seal it.
   std::uint64_t streams_materialized() const { return streams_materialized_; }
 
   // Records the disc-array membership for each image of a burned array.
@@ -128,8 +117,8 @@ class DiscImageStore {
   Status RestoreRecord(ImageRecord record);
 
  private:
-  // `image` was replaced or dropped: its cached stream no longer applies.
-  static void ResetStream(ImageRecord& record);
+  // Seals `image` on its stream unless it already is.
+  void Seal(udf::Image& image);
 
   std::map<std::string, ImageRecord> records_;
   std::vector<std::string> close_order_;  // FIFO of closed data images

@@ -353,7 +353,8 @@ sim::Task<Status> Maintenance::RestoreFromCheckpoint() {
       const std::string name = CheckpointFileName(record.id);
       auto bytes = co_await volume->ReadAll(name);
       if (bytes.ok()) {
-        auto image = udf::Serializer::Parse(*bytes);
+        auto image =
+            udf::Serializer::Parse(MakeSharedBytes(std::move(*bytes)));
         if (image.ok()) {
           record.image =
               std::make_shared<udf::Image>(std::move(*image));

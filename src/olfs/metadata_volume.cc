@@ -277,8 +277,9 @@ sim::Task<Status> MetadataVolume::RestoreFromSnapshot(
     }
     // Raw bytes, no validation: a corrupt snapshot entry restores fine
     // and fails at first decode.
+    const std::span<const std::uint8_t> bytes = node.bytes();
     entries.emplace_back(std::move(global_path),
-                         std::string(node.data.begin(), node.data.end()));
+                         std::string(bytes.begin(), bytes.end()));
   });
   ROS_CO_RETURN_IF_ERROR(co_await store_->Open());
   // Every entry the store can write is restored; a single bad entry (or a

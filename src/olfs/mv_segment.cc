@@ -75,8 +75,8 @@ std::optional<SegmentHeader> ParseSegmentFileName(const std::string& name) {
   return header;
 }
 
-SegmentBuilder::SegmentBuilder(std::uint64_t rank, std::uint64_t id) {
-  bytes_.resize(kHeaderBytes, 0);
+SegmentBuilder::SegmentBuilder(std::uint64_t rank, std::uint64_t id)
+    : bytes_(kHeaderBytes, 0) {
   std::memcpy(bytes_.data(), kMagic, 4);
   PutU32(kFormatVersion, bytes_.data() + 4);
   PutU64(rank, bytes_.data() + 8);

@@ -549,7 +549,8 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadPart(
                           << "): " << data.status().ToString();
         auto recovered = co_await ReconstructFromParity(part.image_id);
         if (recovered.ok()) {
-          auto image = udf::Serializer::Parse(*recovered);
+          auto image = udf::Serializer::Parse(
+              MakeSharedBytes(std::move(*recovered)));
           if (image.ok()) {
             ++reconstructions_;
             auto repaired =
@@ -631,13 +632,15 @@ sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::MountParsedImage(
   // The physical read of the whole serialized stream validates media
   // integrity (CRC); corrupted sectors surface here as kDataLoss. The
   // caller charges the optical transfer it models, so the stream is
-  // parsed in place on the media.
+  // parsed in place on the media: the view's files share the session's
+  // payload.
   ROS_CO_RETURN_IF_ERROR(drive->disc()
                              ->CheckSessionRead(image_id, 0,
                                                 session->stored_bytes)
                              .status());
-  ROS_CO_ASSIGN_OR_RETURN(udf::Image image,
-                          udf::Serializer::Parse(session->data()));
+  ROS_CO_ASSIGN_OR_RETURN(
+      udf::Image image,
+      udf::Serializer::Parse(session->data(), session->payload));
   auto view = std::make_shared<udf::Image>(std::move(image));
   disc_mounts_.emplace(std::move(image_id), view);
   co_return view;
@@ -1006,7 +1009,7 @@ sim::Task<StatusOr<int>> Olfs::ScrubAndRepair() {
 sim::Task<Status> Olfs::RecoverAndRepairImage(std::string image_id) {
   ROS_CO_ASSIGN_OR_RETURN(std::vector<std::uint8_t> recovered,
                           co_await ReconstructFromParity(image_id));
-  auto image = udf::Serializer::Parse(recovered);
+  auto image = udf::Serializer::Parse(MakeSharedBytes(std::move(recovered)));
   if (!image.ok()) {
     co_return DataLossError("parity recovery failed CRC for " + image_id);
   }
@@ -1056,7 +1059,7 @@ sim::Task<Status> Olfs::RefreshImage(std::string image_id) {
                               co_await ReconstructFromParity(image_id));
       ++reconstructions_;
     }
-    auto parsed = udf::Serializer::Parse(stream);
+    auto parsed = udf::Serializer::Parse(MakeSharedBytes(std::move(stream)));
     if (!parsed.ok()) {
       co_return DataLossError("refresh read of " + image_id +
                               " failed CRC");
@@ -1401,7 +1404,8 @@ sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
                                            session.logical_size);
           continue;
         }
-        auto parsed = udf::Serializer::Parse(*stream);
+        auto parsed =
+            udf::Serializer::Parse(MakeSharedBytes(std::move(*stream)));
         if (!parsed.ok()) {
           ++report.unreadable_discs;
           continue;

@@ -197,6 +197,12 @@ class Olfs {
   void DropDiscMount(const std::string& image_id) {
     disc_mounts_.erase(image_id);
   }
+  // The cached parsed view of a disc-mounted image; null if not mounted.
+  std::shared_ptr<const udf::Image> DiscMount(
+      const std::string& image_id) const {
+    auto it = disc_mounts_.find(image_id);
+    return it == disc_mounts_.end() ? nullptr : it->second;
+  }
 
   // Self-healing telemetry: reads served degraded (the disc read failed),
   // successful parity reconstructions, and images re-staged for re-burn.

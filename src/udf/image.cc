@@ -120,13 +120,20 @@ Status Image::MakeDirs(std::string_view path) {
 
 Status Image::AddFile(std::string_view path, std::vector<std::uint8_t> data,
                       std::uint64_t logical_size) {
+  ROS_ASSIGN_OR_RETURN(Node* node, NewFile(path, data.size(), logical_size));
+  node->owned_ = std::move(data);
+  return OkStatus();
+}
+
+StatusOr<Node*> Image::NewFile(std::string_view path, std::uint64_t stored,
+                               std::uint64_t logical_size) {
   if (closed_) {
     return FailedPreconditionError("image " + image_id_ + " is closed");
   }
   if (logical_size > kMaxFileSize) {
     return InvalidArgumentError("file size exceeds kMaxFileSize");
   }
-  if (data.size() > logical_size) {
+  if (stored > logical_size) {
     return InvalidArgumentError("payload larger than logical size");
   }
   if (!WouldFit(path, logical_size)) {
@@ -141,11 +148,9 @@ Status Image::AddFile(std::string_view path, std::vector<std::uint8_t> data,
   node->type = NodeType::kFile;
   node->name = leaf;
   node->logical_size = logical_size;
-  node->data = std::move(data);
   used_bytes_ += kEntryOverhead + BlocksFor(logical_size) * kBlockSize;
   ++file_count_;
-  parent->children.emplace(leaf, std::move(node));
-  return OkStatus();
+  return parent->children.emplace(leaf, std::move(node)).first->second.get();
 }
 
 Status Image::AddLink(std::string_view path, std::string target_image) {
@@ -194,10 +199,11 @@ Status Image::AppendToFile(std::string_view path,
   if ((new_blocks - old_blocks) * kBlockSize > free_bytes()) {
     return ResourceExhaustedError("append does not fit");
   }
-  // Materialize the sparse tail before appending real bytes.
+  // Materialize the sparse tail before appending real bytes. Only open
+  // images get here, so the node owns its payload.
   if (!data.empty()) {
-    node->data.resize(node->logical_size, 0);
-    node->data.insert(node->data.end(), data.begin(), data.end());
+    node->owned_.resize(node->logical_size, 0);
+    node->owned_.insert(node->owned_.end(), data.begin(), data.end());
   }
   node->logical_size += logical_grow;
   used_bytes_ += (new_blocks - old_blocks) * kBlockSize;
@@ -231,13 +237,14 @@ StatusOr<std::vector<std::uint8_t>> Image::ReadFile(
   }
   // Copy the stored bytes, then zero-fill the sparse tail: each output
   // byte is written once.
+  const std::span<const std::uint8_t> stored = node->bytes();
   std::vector<std::uint8_t> out;
   out.reserve(length);
-  if (offset < node->data.size()) {
+  if (offset < stored.size()) {
     const std::uint64_t n =
-        std::min<std::uint64_t>(length, node->data.size() - offset);
-    const auto from = node->data.begin() + static_cast<std::ptrdiff_t>(offset);
-    out.assign(from, from + static_cast<std::ptrdiff_t>(n));
+        std::min<std::uint64_t>(length, stored.size() - offset);
+    const auto from = stored.subspan(offset, n);
+    out.assign(from.begin(), from.end());
   }
   out.resize(length, 0);
   return out;
@@ -260,14 +267,17 @@ StatusOr<std::vector<std::string>> Image::List(std::string_view path) const {
 }
 
 namespace {
-void WalkNode(const std::string& prefix, const Node& node,
-              const std::function<void(const std::string&, const Node&)>&
+// Pre-order, children by name. `NodeT` is `const Node` or `Node`.
+template <typename NodeT>
+void WalkNode(const std::string& prefix, NodeT& node,
+              const std::function<void(const std::string&, NodeT&)>&
                   visitor) {
   for (const auto& [name, child] : node.children) {
     const std::string path = prefix == "/" ? "/" + name : prefix + "/" + name;
-    visitor(path, *child);
-    if (child->type == NodeType::kDirectory) {
-      WalkNode(path, *child, visitor);
+    NodeT& entry = *child;
+    visitor(path, entry);
+    if (entry.type == NodeType::kDirectory) {
+      WalkNode(path, entry, visitor);
     }
   }
 }
@@ -276,6 +286,19 @@ void WalkNode(const std::string& prefix, const Node& node,
 void Image::Walk(const std::function<void(const std::string& path,
                                           const Node&)>& visitor) const {
   WalkNode("/", root_, visitor);
+}
+
+void Image::WalkMutable(
+    const std::function<void(const std::string& path, Node&)>& visitor) {
+  WalkNode("/", root_, visitor);
+}
+
+std::uint64_t Image::owned_payload_bytes() const {
+  std::uint64_t total = 0;
+  Walk([&total](const std::string&, const Node& node) {
+    total += node.owned_.size();
+  });
+  return total;
 }
 
 }  // namespace ros::udf

@@ -14,8 +14,14 @@
 //   - byte-level serialization (serializer.h) so a scan of survived discs
 //     can rebuild the namespace (§4.4).
 //
-// File payloads may be sparse: `data` can be shorter than `logical_size`
-// (the tail reads as zeros) so PB-scale workloads stay laptop-sized.
+// File payloads may be sparse: the stored bytes can be shorter than
+// `logical_size` (the tail reads as zeros) so PB-scale workloads stay
+// laptop-sized.
+//
+// A closed image keeps one copy of its payload bytes: its serialized
+// stream (DESIGN.md §5l). Sealing (Serializer::Seal) or parsing in place
+// (Serializer::Parse with the bytes' owner) makes every file node a view
+// into that stream, and the image keeps the stream alive.
 #ifndef ROS_SRC_UDF_IMAGE_H_
 #define ROS_SRC_UDF_IMAGE_H_
 
@@ -23,10 +29,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 
@@ -52,12 +60,25 @@ enum class NodeType { kDirectory, kFile, kLink };
 struct Node {
   NodeType type = NodeType::kDirectory;
   std::string name;
-  // kFile: payload. data.size() may be < logical_size (sparse tail).
-  std::vector<std::uint8_t> data;
   std::uint64_t logical_size = 0;
   // kLink: the image holding the first subfile of a split file (§4.5).
   std::string link_target_image;
   std::map<std::string, std::unique_ptr<Node>> children;
+
+  // kFile: the stored payload; may be shorter than logical_size (sparse
+  // tail). Valid while the image that holds the node lives.
+  std::span<const std::uint8_t> bytes() const {
+    return owned_.empty() ? view_ : std::span<const std::uint8_t>(owned_);
+  }
+
+ private:
+  friend class Image;
+  friend class Serializer;
+
+  // The node owns its payload only while its image is open; a sealed or
+  // in-place parsed image's nodes view a range of its backing bytes.
+  std::vector<std::uint8_t> owned_;
+  std::span<const std::uint8_t> view_;
 };
 
 // Normalizes an absolute path: must start with '/', no trailing '/',
@@ -72,6 +93,16 @@ class Image {
   std::uint64_t capacity() const { return capacity_; }
   bool closed() const { return closed_; }
   void Close() { closed_ = true; }
+
+  // The serialized stream a closed image is sealed on: every file node
+  // views its payload inside it, and Serializer::Serialize(*this) equals
+  // it byte for byte. Null while unsealed (open images, and parsed inputs
+  // that were not exactly this image's canonical stream).
+  SharedBytes stream() const { return sealed_ ? backing_ : nullptr; }
+
+  // Payload bytes file nodes hold outside the backing bytes, summed over
+  // the tree (0 for a sealed or in-place parsed image).
+  std::uint64_t owned_payload_bytes() const;
 
   // Bytes consumed: entry overhead + block-rounded payloads, including the
   // root directory.
@@ -138,10 +169,23 @@ class Image {
   StatusOr<std::pair<Node*, std::string>> WalkToParent(std::string_view path,
                                                        bool create);
 
+  // Walk() over mutable nodes, for sealing.
+  void WalkMutable(
+      const std::function<void(const std::string& path, Node&)>& visitor);
+
+  // AddFile's checks and bookkeeping: a new, empty file node at `path`
+  // that will hold `stored` payload bytes.
+  StatusOr<Node*> NewFile(std::string_view path, std::uint64_t stored,
+                          std::uint64_t logical_size);
+
   std::string image_id_;
   std::uint64_t capacity_;
   bool closed_ = false;
   Node root_;
+  // What file-node views point into; kept alive with the image.
+  SharedBytes backing_;
+  // `backing_` is exactly this image's serialized stream.
+  bool sealed_ = false;
   std::uint64_t used_bytes_;
   std::uint64_t file_count_ = 0;
 };

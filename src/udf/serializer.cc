@@ -1,6 +1,10 @@
 #include "src/udf/serializer.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
 
 #include "src/common/hash.h"
 
@@ -36,7 +40,7 @@ std::size_t NodeRecordBytes(const std::string& path, const Node& node) {
   std::size_t n = 1 + 4 + path.size();
   switch (node.type) {
     case NodeType::kFile:
-      n += 8 + 8 + node.data.size();
+      n += 8 + 8 + node.bytes().size();
       break;
     case NodeType::kLink:
       n += 4 + node.link_target_image.size();
@@ -97,12 +101,11 @@ class Reader {
     return s;
   }
 
-  StatusOr<std::vector<std::uint8_t>> Bytes(std::uint64_t n) {
+  StatusOr<std::span<const std::uint8_t>> View(std::uint64_t n) {
     if (n > remaining()) {
       return DataLossError("truncated image stream (payload)");
     }
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                  bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const std::span<const std::uint8_t> out = bytes_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
@@ -123,10 +126,9 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
-std::vector<std::uint8_t> Serializer::Serialize(const Image& image) {
-  // One sizing walk, so the stream is built in one exact allocation.
+// An empty stream reserved to the image's exact serialized size (one
+// sizing walk), holding the header.
+std::vector<std::uint8_t> StartStream(const Image& image) {
   std::uint64_t node_count = 0;
   std::size_t body_bytes = 0;
   image.Walk([&](const std::string& path, const Node& node) {
@@ -142,30 +144,82 @@ std::vector<std::uint8_t> Serializer::Serialize(const Image& image) {
   PutStr(out, image.id());
   PutU64(out, image.capacity());
   PutU64(out, node_count);
-
-  image.Walk([&](const std::string& path, const Node& node) {
-    out.push_back(static_cast<std::uint8_t>(node.type));
-    PutStr(out, path);
-    switch (node.type) {
-      case NodeType::kFile:
-        PutU64(out, node.logical_size);
-        PutU64(out, node.data.size());
-        out.insert(out.end(), node.data.begin(), node.data.end());
-        break;
-      case NodeType::kLink:
-        PutStr(out, node.link_target_image);
-        break;
-      case NodeType::kDirectory:
-        break;
-    }
-  });
-
-  PutU32(out, Crc32(out));
-  out.insert(out.end(), kAnchor, kAnchor + sizeof(kAnchor));
   return out;
 }
 
+// Appends one node record, in Image::Walk order.
+void PutNode(std::vector<std::uint8_t>& out, const std::string& path,
+             const Node& node) {
+  out.push_back(static_cast<std::uint8_t>(node.type));
+  PutStr(out, path);
+  switch (node.type) {
+    case NodeType::kFile: {
+      const std::span<const std::uint8_t> payload = node.bytes();
+      PutU64(out, node.logical_size);
+      PutU64(out, payload.size());
+      out.insert(out.end(), payload.begin(), payload.end());
+      break;
+    }
+    case NodeType::kLink:
+      PutStr(out, node.link_target_image);
+      break;
+    case NodeType::kDirectory:
+      break;
+  }
+}
+
+void FinishStream(std::vector<std::uint8_t>& out) {
+  PutU32(out, Crc32(out));
+  out.insert(out.end(), kAnchor, kAnchor + sizeof(kAnchor));
+}
+
+// `bytes` lies inside `whole`.
+bool Within(std::span<const std::uint8_t> bytes,
+            std::span<const std::uint8_t> whole) {
+  const std::less_equal<const std::uint8_t*> le;
+  return bytes.empty() ||
+         (le(whole.data(), bytes.data()) &&
+          le(bytes.data() + bytes.size(), whole.data() + whole.size()));
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> Serializer::Serialize(const Image& image) {
+  std::vector<std::uint8_t> out = StartStream(image);
+  image.Walk([&out](const std::string& path, const Node& node) {
+    PutNode(out, path, node);
+  });
+  FinishStream(out);
+  return out;
+}
+
+SharedBytes Serializer::Seal(Image& image) {
+  // Built in place behind the shared pointer, reserved to its final size:
+  // the views taken during the walk stay valid.
+  auto stream = std::make_shared<std::vector<std::uint8_t>>(StartStream(image));
+  image.WalkMutable([&stream](const std::string& path, Node& node) {
+    PutNode(*stream, path, node);
+    if (node.type == NodeType::kFile) {
+      const std::size_t n = node.bytes().size();
+      node.view_ = {stream->data() + stream->size() - n, n};
+      std::vector<std::uint8_t>().swap(node.owned_);
+    }
+  });
+  FinishStream(*stream);
+  image.backing_ = std::move(stream);
+  image.sealed_ = true;
+  image.Close();
+  return image.backing_;
+}
+
 StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
+  return Parse(
+      MakeSharedBytes(std::vector<std::uint8_t>(bytes.begin(), bytes.end())));
+}
+
+StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes,
+                                  const SharedBytes& owner) {
+  ROS_CHECK(Within(bytes, BytesOf(owner)));
   Reader reader(bytes);
   ROS_RETURN_IF_ERROR(reader.Expect({kMagic, sizeof(kMagic)}));
   ROS_ASSIGN_OR_RETURN(std::uint32_t version, reader.U32());
@@ -183,6 +237,12 @@ StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
   auto corrupt = [](const Status& status) {
     return DataLossError("corrupt image stream: " + status.ToString());
   };
+  // Record paths in stream order, to tell whether the stream is the one
+  // Serialize writes for the rebuilt image. `node_count` comes off the
+  // media; every record takes at least its type byte and path length.
+  std::vector<std::string> record_paths;
+  record_paths.reserve(
+      std::min<std::uint64_t>(node_count, reader.remaining() / 5));
   for (std::uint64_t i = 0; i < node_count; ++i) {
     ROS_ASSIGN_OR_RETURN(std::uint8_t type_byte, reader.U8());
     if (type_byte > static_cast<std::uint8_t>(NodeType::kLink)) {
@@ -201,12 +261,13 @@ StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
       case NodeType::kFile: {
         ROS_ASSIGN_OR_RETURN(std::uint64_t logical, reader.U64());
         ROS_ASSIGN_OR_RETURN(std::uint64_t data_len, reader.U64());
-        ROS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> data,
-                             reader.Bytes(data_len));
-        Status status = image.AddFile(path, std::move(data), logical);
-        if (!status.ok()) {
-          return corrupt(status);
+        ROS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> payload,
+                             reader.View(data_len));
+        auto node = image.NewFile(path, payload.size(), logical);
+        if (!node.ok()) {
+          return corrupt(node.status());
         }
+        (*node)->view_ = payload;
         break;
       }
       case NodeType::kLink: {
@@ -218,6 +279,7 @@ StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
         break;
       }
     }
+    record_paths.push_back(std::move(path));
   }
 
   const std::uint32_t computed = Crc32(bytes.subspan(0, reader.pos()));
@@ -226,6 +288,21 @@ StatusOr<Image> Serializer::Parse(std::span<const std::uint8_t> bytes) {
     return DataLossError("image CRC mismatch");
   }
   ROS_RETURN_IF_ERROR(reader.Expect({kAnchor, sizeof(kAnchor)}));
+
+  // Every record created its own node, in walk order, exactly when the
+  // walk visits the record paths in stream order; Serialize then rewrites
+  // the same header, records, CRC and anchor.
+  std::size_t visited = 0;
+  bool in_walk_order = true;
+  image.Walk([&](const std::string& path, const Node&) {
+    in_walk_order = in_walk_order && visited < record_paths.size() &&
+                    record_paths[visited] == path;
+    ++visited;
+  });
+  image.backing_ = owner;
+  image.sealed_ = in_walk_order && visited == record_paths.size() &&
+                  reader.remaining() == 0 &&
+                  bytes.size() == BytesOf(owner).size();
   image.Close();
   return image;
 }

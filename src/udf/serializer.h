@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/udf/image.h"
 
@@ -33,8 +34,26 @@ class Serializer {
   // image's logical size is carried in the header records).
   static std::vector<std::uint8_t> Serialize(const Image& image);
 
-  // Parses a serialized image; verifies magic and CRC.
+  // Closes `image` and serializes it, rebinding its file nodes onto the
+  // result in the same walk: their own payload buffers are freed, and the
+  // returned stream (also image.stream()) is the image's one copy.
+  static SharedBytes Seal(Image& image);
+
+  // Parses a serialized image; verifies magic and CRC. Copies `bytes`
+  // once, into one buffer that the result then views as below.
   static StatusOr<Image> Parse(std::span<const std::uint8_t> bytes);
+
+  // Parses `bytes`, which lie inside `*owner`, in place: file nodes view
+  // `bytes` instead of copying them, and the image keeps `owner` alive.
+  // The image is sealed on `owner` when `bytes` is all of it and is
+  // exactly the stream Serialize would write for the parsed image.
+  static StatusOr<Image> Parse(std::span<const std::uint8_t> bytes,
+                               const SharedBytes& owner);
+
+  // Parses all of `*owner` in place.
+  static StatusOr<Image> Parse(const SharedBytes& owner) {
+    return Parse(BytesOf(owner), owner);
+  }
 };
 
 }  // namespace ros::udf

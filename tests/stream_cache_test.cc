@@ -1,7 +1,8 @@
-// The closed-image stream cache (DESIGN.md §5l): every closed data image
-// is serialized once, and the parity sweep, the burn, the audit manifest
-// and the checkpoint all use those same bytes; the disc sessions share
-// them, and tampering with one disc copies on write.
+// The closed-image stream (DESIGN.md §5l): every closed data image is
+// serialized once, when it is sealed, and the parity sweep, the burn, the
+// audit manifest and the checkpoint all use those same bytes; the sealed
+// image's files are views into them, the disc sessions share them, a disc
+// mount parses them in place, and tampering with one disc copies on write.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,11 +24,28 @@ class StreamCacheTest : public ::testing::Test {
  protected:
   StreamCacheTest() {
     system_ = std::make_unique<RosSystem>(sim_, TestSystemConfig());
+    StartOlfs(Params());
+  }
+
+  static OlfsParams Params() {
     OlfsParams params;
     params.disc_type = drive::DiscType::kBdr25;
     params.disc_capacity_override = 16 * kMiB;
+    return params;
+  }
+
+  void StartOlfs(const OlfsParams& params) {
     olfs_ = std::make_unique<Olfs>(sim_, system_.get(), params);
     olfs_->burns().burn_start_interval = sim::Seconds(1);
+  }
+
+  static std::vector<std::uint8_t> Payload(int i) {
+    std::vector<std::uint8_t> data(32 * kKiB);
+    Rng rng(static_cast<std::uint64_t>(i) + 1);
+    for (auto& b : data) {
+      b = static_cast<std::uint8_t>(rng.Next());
+    }
+    return data;
   }
 
   ~StreamCacheTest() override { sim_.Shutdown(); }
@@ -36,14 +54,9 @@ class StreamCacheTest : public ::testing::Test {
   // one array (parity, burn and audit manifest).
   void IngestAndBurn() {
     for (int i = 0; i < 6; ++i) {
-      std::vector<std::uint8_t> data(32 * kKiB);
-      Rng rng(static_cast<std::uint64_t>(i) + 1);
-      for (auto& b : data) {
-        b = static_cast<std::uint8_t>(rng.Next());
-      }
       ASSERT_TRUE(sim_.RunUntilComplete(
-                          olfs_->Create("/s/f" + std::to_string(i), data,
-                                        5 * kMiB))
+                          olfs_->Create("/s/f" + std::to_string(i),
+                                        Payload(i), 5 * kMiB))
                       .ok());
     }
     ASSERT_TRUE(sim_.RunUntilComplete(olfs_->FlushAndDrain()).ok())
@@ -68,14 +81,14 @@ class StreamCacheTest : public ::testing::Test {
     return **session;
   }
 
-  // Every burned data image: the record no longer holds its stream, and
-  // the bytes it released are the very buffer its disc session holds.
+  // Every burned data image: the stream its record's image is sealed on
+  // is the very buffer its disc session holds.
   void ExpectDiscsShareTheStreams() {
     for (const ImageRecord* record : DataImages()) {
       ASSERT_TRUE(record->disc.has_value()) << record->id;
-      EXPECT_EQ(record->stream, nullptr) << record->id;
+      ASSERT_NE(record->image, nullptr) << record->id;
       const drive::Session& session = SessionOf(*record);
-      EXPECT_EQ(record->burned_stream.lock(), session.payload) << record->id;
+      EXPECT_EQ(record->image->stream(), session.payload) << record->id;
       EXPECT_EQ(session.stored_bytes, session.payload->size()) << record->id;
     }
   }
@@ -135,10 +148,7 @@ TEST_F(StreamCacheTest, BufferVolumesStoreNoPayload) {
 
   // A new controller over the same rack restores from the checkpoint.
   sim_.Shutdown();
-  OlfsParams params;
-  params.disc_type = drive::DiscType::kBdr25;
-  params.disc_capacity_override = 16 * kMiB;
-  olfs_ = std::make_unique<Olfs>(sim_, system_.get(), params);
+  olfs_ = std::make_unique<Olfs>(sim_, system_.get(), Params());
   Maintenance after(olfs_.get());
   ASSERT_TRUE(sim_.RunUntilComplete(after.RestoreFromCheckpoint()).ok());
   auto read = sim_.RunUntilComplete(
@@ -146,16 +156,84 @@ TEST_F(StreamCacheTest, BufferVolumesStoreNoPayload) {
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, buffered);
   for (int i = 0; i < 6; ++i) {
-    std::vector<std::uint8_t> expected(32 * kKiB);
-    Rng rng(static_cast<std::uint64_t>(i) + 1);
-    for (auto& b : expected) {
-      b = static_cast<std::uint8_t>(rng.Next());
-    }
+    const std::vector<std::uint8_t> expected = Payload(i);
     read = sim_.RunUntilComplete(
         olfs_->Read("/s/f" + std::to_string(i), 0, expected.size()));
     ASSERT_TRUE(read.ok()) << i << ": " << read.status().ToString();
     EXPECT_EQ(*read, expected) << i;
   }
+}
+
+// Sealing frees the tree's copy: an open bucket owns its payload, and
+// once closed no buffered image, burned or not, owns a byte outside the
+// stream it is sealed on.
+TEST_F(StreamCacheTest, ClosedImagesOwnNoPayloadOutsideTheirStream) {
+  IngestAndBurn();
+  const std::vector<std::uint8_t> buffered(40 * kKiB, 0x5a);
+  ASSERT_TRUE(sim_.RunUntilComplete(
+                      olfs_->Create("/s/buffered", buffered, 3 * kMiB))
+                  .ok());
+  std::string open_id;
+  for (const ImageRecord* record : DataImages()) {
+    if (record->tier == ImageTier::kOpenBucket) {
+      open_id = record->id;
+      EXPECT_EQ(record->image->stream(), nullptr);
+      EXPECT_GE(record->image->owned_payload_bytes(), buffered.size());
+    }
+  }
+  ASSERT_FALSE(open_id.empty());
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->buckets().CloseCurrentBucket())
+                  .ok());
+  auto closed = olfs_->images().Lookup(open_id);
+  ASSERT_TRUE(closed.ok());
+  EXPECT_EQ((*closed)->tier, ImageTier::kBuffered);
+
+  std::size_t checked = 0;
+  for (const ImageRecord* record : DataImages()) {
+    ASSERT_NE(record->image, nullptr) << record->id;
+    ASSERT_NE(record->image->stream(), nullptr) << record->id;
+    EXPECT_EQ(record->image->owned_payload_bytes(), 0u) << record->id;
+    EXPECT_EQ(*record->image->stream(),
+              udf::Serializer::Serialize(*record->image))
+        << record->id;
+    ++checked;
+  }
+  EXPECT_EQ(checked, olfs_->images().streams_materialized());
+  auto read = sim_.RunUntilComplete(
+      olfs_->Read("/s/buffered", 0, buffered.size()));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, buffered);
+}
+
+// Without a read cache every burned image leaves the buffer, so reads
+// mount its disc: the mounted view is parsed in place, sealed on the
+// session's payload, which is still the buffer the burn shared.
+TEST_F(StreamCacheTest, DiscMountSharesTheSessionPayload) {
+  sim_.Shutdown();
+  OlfsParams params = Params();
+  params.read_cache_bytes = 0;
+  StartOlfs(params);
+  IngestAndBurn();
+  for (int i = 0; i < 6; ++i) {
+    auto read = sim_.RunUntilComplete(
+        olfs_->Read("/s/f" + std::to_string(i), 0, 32 * kKiB));
+    ASSERT_TRUE(read.ok()) << i << ": " << read.status().ToString();
+    EXPECT_EQ(*read, Payload(i)) << i;
+  }
+  std::size_t mounts = 0;
+  for (const ImageRecord* record : DataImages()) {
+    EXPECT_EQ(record->tier, ImageTier::kBurnedOnly) << record->id;
+    const std::shared_ptr<const udf::Image> view =
+        olfs_->DiscMount(record->id);
+    if (view == nullptr) {
+      continue;
+    }
+    ++mounts;
+    EXPECT_EQ(view->stream(), SessionOf(*record).payload) << record->id;
+    EXPECT_EQ(view->owned_payload_bytes(), 0u) << record->id;
+  }
+  EXPECT_GT(mounts, 0u);
+  EXPECT_EQ(olfs_->images().streams_materialized(), DataImages().size());
 }
 
 TEST_F(StreamCacheTest, ReburnOntoSpareMediaReusesTheStream) {
