@@ -35,6 +35,7 @@
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
+#include "src/olfs/maintenance.h"
 #include "src/olfs/olfs.h"
 #include "src/sim/event_hasher.h"
 #include "src/sim/fault.h"
@@ -166,7 +167,7 @@ bool RunSeed(std::uint64_t seed, const Options& opt,
   // Storm over: scrub out latent damage, drain repair re-burns, then
   // prove a from-scratch disc scan still recovers the namespace.
   system.InstallFaultInjector(nullptr);
-  auto scrubbed = sim.RunUntilComplete(olfs->ScrubAndRepair());
+  auto scrubbed = sim.RunUntilComplete(olfs->scrub().ScrubAndRepair());
   if (!scrubbed.ok()) {
     return fail("scrub: " + scrubbed.status().ToString());
   }
@@ -182,9 +183,9 @@ bool RunSeed(std::uint64_t seed, const Options& opt,
       tray_indices.insert((*record)->disc->tray.ToIndex());
     }
   }
-  const std::uint64_t degraded = olfs->degraded_reads();
-  const std::uint64_t reconstructions = olfs->reconstructions();
-  const std::uint64_t repaired = olfs->images_repaired();
+  const std::uint64_t degraded = olfs->reader().degraded_reads();
+  const std::uint64_t reconstructions = olfs->scrub().reconstructions();
+  const std::uint64_t repaired = olfs->scrub().images_repaired();
   const int burn_retries = olfs->burns().burn_retries();
   const int reallocated = olfs->burns().arrays_reallocated();
   const std::uint64_t fetch_retries = olfs->fetches().retries();
@@ -195,7 +196,8 @@ bool RunSeed(std::uint64_t seed, const Options& opt,
   for (int t : tray_indices) {
     trays.push_back(mech::TrayAddress::FromIndex(t));
   }
-  auto report = sim.RunUntilComplete(olfs->RebuildNamespace(trays));
+  Maintenance maintenance(olfs.get());
+  auto report = sim.RunUntilComplete(maintenance.RebuildNamespace(trays));
   if (!report.ok()) {
     return fail("rebuild: " + report.status().ToString());
   }

@@ -472,8 +472,8 @@ bool RunTrace(bool hints, int readers, TraceResult* out) {
   out->p50_s = stats.p50;
   out->p99_s = stats.p99;
 
-  out->readahead_images = olfs.readahead_images();
-  out->readahead_bytes = olfs.readahead_bytes();
+  out->readahead_images = olfs.reader().readahead_images();
+  out->readahead_bytes = olfs.reader().readahead_bytes();
   out->affinity_edges = olfs.affinity().edges();
   const olfs::FetchSchedulerStats& s = olfs.fetch_scheduler()->stats();
   out->speculative_enqueued = s.speculative_enqueued;

@@ -10,6 +10,7 @@
 #include "src/disk/block_device.h"
 #include "src/disk/volume.h"
 #include "src/olfs/metadata_volume.h"
+#include "src/olfs/maintenance.h"
 #include "src/olfs/olfs.h"
 #include "src/sim/time.h"
 #include "src/workload/filebench.h"
@@ -90,7 +91,8 @@ int main() {
 
   olfs = std::make_unique<Olfs>(sim, &system, params);  // fresh controller
   sim::TimePoint t0 = sim.now();
-  auto report = sim.RunUntilComplete(olfs->RebuildNamespace(trays));
+  Maintenance maintenance(olfs.get());
+  auto report = sim.RunUntilComplete(maintenance.RebuildNamespace(trays));
   ROS_CHECK(report.ok());
   const double minutes = sim::ToSeconds(sim.now() - t0) / 60.0;
 

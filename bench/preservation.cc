@@ -295,9 +295,9 @@ bool RunConfig(const Config& cfg, const Options& opt, ConfigResult* out,
   row["refresh_burns"] =
       json::Value(static_cast<std::int64_t>(olfs->scrub().refresh_burns()));
   row["degraded_reads"] =
-      json::Value(static_cast<std::int64_t>(olfs->degraded_reads()));
+      json::Value(static_cast<std::int64_t>(olfs->reader().degraded_reads()));
   row["reconstructions"] =
-      json::Value(static_cast<std::int64_t>(olfs->reconstructions()));
+      json::Value(static_cast<std::int64_t>(olfs->scrub().reconstructions()));
   row["end_media_type"] = json::Value(
       olfs->mech().media_type() == drive::DiscType::kBdr100 ? "bdr100"
                                                             : "bdr25");

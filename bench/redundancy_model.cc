@@ -72,7 +72,7 @@ int main() {
   olfs.mech().DiscAt(*(*record)->disc)->CorruptSector(2);
 
   sim::TimePoint t0 = sim.now();
-  auto repaired = sim.RunUntilComplete(olfs.ScrubAndRepair());
+  auto repaired = sim.RunUntilComplete(olfs.scrub().ScrubAndRepair());
   ROS_CHECK(repaired.ok());
   ROS_CHECK(sim.RunUntilComplete(olfs.FlushAndDrain()).ok());
   const double repair_seconds = sim::ToSeconds(sim.now() - t0);

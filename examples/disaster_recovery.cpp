@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "src/common/rng.h"
+#include "src/olfs/maintenance.h"
 #include "src/olfs/olfs.h"
 #include "src/sim/time.h"
 
@@ -68,7 +69,7 @@ int main() {
   std::printf("  direct read: %s\n", broken.status().ToString().c_str());
 
   sim::TimePoint t0 = sim.now();
-  auto repaired = sim.RunUntilComplete(olfs->ScrubAndRepair());
+  auto repaired = sim.RunUntilComplete(olfs->scrub().ScrubAndRepair());
   ROS_CHECK(repaired.ok());
   ROS_CHECK(sim.RunUntilComplete(olfs->FlushAndDrain()).ok());
   auto healed = sim.RunUntilComplete(
@@ -97,7 +98,9 @@ int main() {
               missing.status().ToString().c_str());
 
   t0 = sim.now();
-  auto report = sim.RunUntilComplete(olfs->RebuildNamespace(used_trays));
+  Maintenance maintenance(olfs.get());
+  auto report =
+      sim.RunUntilComplete(maintenance.RebuildNamespace(used_trays));
   if (!report.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
                  report.status().ToString().c_str());

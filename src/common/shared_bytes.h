@@ -17,6 +17,9 @@ namespace ros {
 
 using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
+// Borrowed, read-only bytes.
+using ByteSpan = std::span<const std::uint8_t>;
+
 inline SharedBytes MakeSharedBytes(std::vector<std::uint8_t> bytes) {
   return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
 }

@@ -144,25 +144,21 @@ sim::Task<StatusOr<const Session*>> OpticalDrive::TimedRead(
   co_return session;
 }
 
-sim::Task<StatusOr<std::vector<std::uint8_t>>> OpticalDrive::ReadImageStream(
-    std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(const std::uint64_t n,
-                          co_await ChargeImageStream(image_id));
-  ROS_CO_ASSIGN_OR_RETURN(const Session* session,
-                          disc_->FindSession(image_id));
-  co_return session->Copy(0, n);
-}
-
-sim::Task<StatusOr<std::uint64_t>> OpticalDrive::ChargeImageStream(
+sim::Task<StatusOr<StreamView>> OpticalDrive::ReadImageStream(
     std::string image_id) {
   ROS_CO_RETURN_IF_ERROR(co_await MountVfs());
-  ROS_CO_ASSIGN_OR_RETURN(const Session* session,
-                          disc_->FindSession(image_id));
-  const std::uint64_t n = session->stored_bytes;
+  std::uint64_t n = 0;
+  {
+    ROS_CO_ASSIGN_OR_RETURN(const Session* found,
+                            disc_->FindSession(image_id));
+    n = found->stored_bytes;
+  }
   // An empty stream still charges (and integrity-checks) one byte.
-  ROS_CO_RETURN_IF_ERROR(co_await ChargeRead(
-      std::move(image_id), 0, std::max<std::uint64_t>(1, n)));
-  co_return n;
+  ROS_CO_ASSIGN_OR_RETURN(
+      const Session* session,
+      co_await TimedRead(std::move(image_id), 0,
+                         std::max<std::uint64_t>(1, n)));
+  co_return StreamView{session->data(), session->payload};
 }
 
 sim::Task<StatusOr<BurnResult>> OpticalDrive::BurnImage(

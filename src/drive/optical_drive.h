@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,14 @@
 #include "src/sim/time.h"
 
 namespace ros::drive {
+
+// A burned image's stored stream, viewed in place: `bytes` lie inside
+// `*owner` (a session's payload), which keeps them alive after the disc
+// moves on. `owner` is null for a session that stores no bytes.
+struct StreamView {
+  std::span<const std::uint8_t> bytes;
+  SharedBytes owner;
+};
 
 struct DriveTimings {
   sim::Duration wake = sim::Seconds(2.0);        // sleep -> disc mounted
@@ -113,16 +122,12 @@ class OpticalDrive {
 
   // Reads one burned image's whole serialized stream, the one timed way
   // an image stream comes off a disc. Mounts, looks up the session, charges
-  // Read(image_id, 0, max(1, n)) for the session's n stored bytes,
-  // returning exactly those n bytes. kNotFound if the disc does not hold
-  // the image (after the mount is charged), kDataLoss on a corrupted
-  // sector, kFailedPrecondition on an empty drive.
-  sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadImageStream(
-      std::string image_id);
-
-  // ReadImageStream through ChargeRead: the same path and errors, and
-  // returns the stream's size n instead of its bytes.
-  sim::Task<StatusOr<std::uint64_t>> ChargeImageStream(std::string image_id);
+  // Read(image_id, 0, max(1, n)) for the session's n stored bytes, and
+  // returns a view of exactly those n bytes on the media, with the
+  // session's payload as their owner: nothing is copied. kNotFound if the
+  // disc does not hold the image (after the mount is charged), kDataLoss
+  // on a corrupted sector, kFailedPrecondition on an empty drive.
+  sim::Task<StatusOr<StreamView>> ReadImageStream(std::string image_id);
 
   // Burns one disc image as a session. Payload may be sparse (shorter than
   // `logical_size`) and is shared, not copied, with the session that

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/common/logging.h"
 #include "src/olfs/affinity.h"
@@ -17,6 +18,21 @@ std::string InternalPath(const std::string& path, int version) {
 
 std::string SplitLinkPath(const std::string& internal_path, int part) {
   return internal_path + "#prev" + std::to_string(part);
+}
+
+ParsedInternalPath ParseInternalPath(const std::string& internal) {
+  ParsedInternalPath out;
+  out.global_path = internal;
+  std::size_t pos;
+  if ((pos = out.global_path.rfind("#prev")) != std::string::npos) {
+    out.part = std::atoi(out.global_path.c_str() + pos + 5);
+    out.global_path.resize(pos);
+  }
+  if ((pos = out.global_path.rfind("#v")) != std::string::npos) {
+    out.version = std::atoi(out.global_path.c_str() + pos + 2);
+    out.global_path.resize(pos);
+  }
+  return out;
 }
 
 BucketManager::BucketManager(sim::Simulator& sim, const OlfsParams& params,
@@ -232,6 +248,15 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> BucketManager::ReadBuffered(
     }
   }
   co_return record->image->ReadFile(internal_path, offset, length);
+}
+
+sim::Task<StatusOr<std::string>> BucketManager::StageFromDisc(
+    std::string image_id, std::string suffix, std::uint64_t bytes) {
+  disk::Volume* volume = data_volumes_.at(kRestageVolume);
+  std::string file = VolumeFileName(image_id) + suffix;
+  ROS_CO_RETURN_IF_ERROR(co_await volume->Create(file));
+  ROS_CO_RETURN_IF_ERROR(co_await volume->AppendSparse(file, {}, bytes));
+  co_return file;
 }
 
 sim::Task<Status> BucketManager::CloseCurrentBucket() {

@@ -40,6 +40,15 @@ std::string InternalPath(const std::string& path, int version);
 // Name of the link file a continuation image carries for split files.
 std::string SplitLinkPath(const std::string& internal_path, int part);
 
+// An internal image path "P[#vN][#prevK]" split into its components: the
+// inverse of InternalPath and SplitLinkPath.
+struct ParsedInternalPath {
+  std::string global_path;
+  int version = 1;
+  int part = 0;  // K of a "#prevK" link, else 0
+};
+ParsedInternalPath ParseInternalPath(const std::string& internal);
+
 struct WriteReceipt {
   std::vector<FilePart> parts;  // ordered
   std::uint64_t total_size = 0;
@@ -112,6 +121,16 @@ class BucketManager {
   static std::string VolumeFileName(const std::string& image_id) {
     return "/images/" + image_id;
   }
+
+  // Images that re-enter the disk buffer from the optical tier (tray
+  // readahead copies, parity repairs) are staged on this volume.
+  static constexpr int kRestageVolume = 0;
+  // Writes such an image's buffer file on kRestageVolume: `bytes` long
+  // (sparse: the parsed image carries the payload), named after the image
+  // plus `suffix`. Returns the file name for the image store's record.
+  sim::Task<StatusOr<std::string>> StageFromDisc(std::string image_id,
+                                                 std::string suffix,
+                                                 std::uint64_t bytes);
 
  private:
   struct OpenBucket {

@@ -435,7 +435,7 @@ sim::Task<Status> Cluster::ScrubRack(int rack,
   }
   ++node.inflight;
   co_await Hop(rack, "scrub");
-  auto n = co_await node.olfs->ScrubAndRepair();
+  auto n = co_await node.olfs->scrub().ScrubAndRepair();
   --node.inflight;
   if (!n.ok()) {
     co_return n.status();
@@ -529,7 +529,8 @@ sim::Task<StatusOr<RecoveryReport>> Cluster::RecoverRack(int i) {
       }
     }
   }
-  auto report = co_await node.olfs->RebuildNamespace(trays);
+  Maintenance maintenance(node.olfs.get());
+  auto report = co_await maintenance.RebuildNamespace(trays);
   if (!report.ok()) {
     node.olfs.reset();
     co_return report.status();

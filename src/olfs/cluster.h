@@ -39,6 +39,7 @@
 #include "src/disk/raid.h"
 #include "src/disk/volume.h"
 #include "src/olfs/hints.h"
+#include "src/olfs/maintenance.h"
 #include "src/olfs/olfs.h"
 #include "src/olfs/params.h"
 #include "src/olfs/placement.h"

@@ -49,6 +49,9 @@ struct VersionEntry {
 
 enum class EntryType { kFile, kDirectory };
 
+// Versioned updates (§4.6): a 1 KiB index block stores up to 15 entries.
+inline constexpr int kMaxVersionEntries = 15;
+
 class IndexFile {
  public:
   IndexFile() = default;

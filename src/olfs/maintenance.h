@@ -7,17 +7,27 @@
 // controller's running state into the MV (§4.2: "Once ROS crashes, OLFS
 // can recover from its previous checkpoint state with all state
 // information stored in MV"), restoring a replacement controller from
-// that checkpoint, and triggering scrubs.
+// that checkpoint, rebuilding the namespace by scanning the discs when the
+// MV itself is lost (§4.4), and triggering scrubs. The two recovery entry
+// points, checkpoint restore and the disc scan, live here together.
 #ifndef ROS_SRC_OLFS_MAINTENANCE_H_
 #define ROS_SRC_OLFS_MAINTENANCE_H_
 
 #include <string>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/olfs/olfs.h"
 #include "src/olfs/power.h"
 
 namespace ros::olfs {
+
+struct RecoveryReport {
+  int discs_scanned = 0;
+  int images_parsed = 0;
+  int files_recovered = 0;
+  int unreadable_discs = 0;
+};
 
 class Maintenance {
  public:
@@ -37,8 +47,15 @@ class Maintenance {
   // requires the MV (and disk buffer) to have survived.
   sim::Task<Status> RestoreFromCheckpoint();
 
+  // Rebuilds the global namespace by physically scanning the given disc
+  // arrays (§4.4). Wipes the current MV first. Used after MV loss.
+  sim::Task<StatusOr<RecoveryReport>> RebuildNamespace(
+      std::vector<mech::TrayAddress> trays);
+
   // Administrative scrub pass (§4.7), as the console's "verify media" op.
-  sim::Task<StatusOr<int>> TriggerScrub() { return olfs_->ScrubAndRepair(); }
+  sim::Task<StatusOr<int>> TriggerScrub() {
+    return olfs_->scrub().ScrubAndRepair();
+  }
 
   static constexpr const char* kCheckpointKey = "controller-checkpoint";
 

@@ -1,45 +1,11 @@
 #include "src/olfs/olfs.h"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "src/common/logging.h"
-#include "src/udf/serializer.h"
 
 namespace ros::olfs {
-
-namespace {
-
-// Versioned updates (§4.6): a 1 KiB index block stores up to 15 entries.
-constexpr int kMaxVersionEntries = 15;
-// Whole-tray readahead stages at most this many sibling images.
-constexpr std::size_t kReadaheadMaxImages = 16;
-
-// Splits an internal image path "P[#vN][#prevK]" into its components.
-struct ParsedInternalPath {
-  std::string global_path;
-  int version = 1;
-  bool is_prev_link = false;
-  int part = 0;
-};
-
-ParsedInternalPath ParseInternalPath(const std::string& internal) {
-  ParsedInternalPath out;
-  out.global_path = internal;
-  std::size_t pos;
-  if ((pos = out.global_path.rfind("#prev")) != std::string::npos) {
-    out.is_prev_link = true;
-    out.part = std::atoi(out.global_path.c_str() + pos + 5);
-    out.global_path.resize(pos);
-  }
-  if ((pos = out.global_path.rfind("#v")) != std::string::npos) {
-    out.version = std::atoi(out.global_path.c_str() + pos + 2);
-    out.global_path.resize(pos);
-  }
-  return out;
-}
-
-}  // namespace
 
 Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
     : sim_(sim), system_(system), params_(params) {
@@ -57,7 +23,6 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
   parity_ = std::make_unique<ParityBuilder>(sim_, params_, images_.get());
   da_ = std::make_unique<DaIndex>(system->config().rollers);
   cache_ = std::make_unique<ReadCache>(params_.read_cache_bytes);
-  file_cache_ = std::make_unique<FileCache>(params_.file_cache_bytes);
   mech_ = std::make_unique<MechController>(sim_, system->library(),
                                            system->drive_sets(),
                                            &system->discs(), params_);
@@ -83,6 +48,7 @@ Olfs::Olfs(sim::Simulator& sim, RosSystem* system, OlfsParams params)
                                            parity_.get());
   burns_->set_audit(audit_.get());
   scrub_ = std::make_unique<ScrubManager>(sim_, this);
+  reader_ = std::make_unique<ImageReader>(sim_, this);
   // Media aging hooks on every optical drive. The params object lives in
   // this facade, so the pointer stays valid for the system's lifetime;
   // with aging disabled (the default) the hook is byte-identical to none.
@@ -492,370 +458,25 @@ sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadEntry(
 sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadPart(
     std::string internal_path, FilePart part,
     std::uint64_t offset, std::uint64_t length, AccessHint hint) {
-  ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                          images_->Lookup(part.image_id));
-  // Cross-layer hint channel: tagged reads feed the co-access map (read
-  // affinity influences placement of images not yet burned) regardless of
-  // the image's current tier. Untagged requests (stream == 0) are inert.
-  if (hint.stream != 0) {
-    affinity_->RecordRead(hint.stream, part.image_id);
-  }
-  switch (record->tier) {
-    case ImageTier::kOpenBucket:
-    case ImageTier::kBuffered:
-    case ImageTier::kBurnedCached: {
-      (void)cache_->Touch(part.image_id);
-      co_return co_await buckets_->ReadBuffered(part.image_id, internal_path,
-                                                offset, length);
+  auto record = images_->Lookup(part.image_id);
+  if (record.ok()) {
+    // Cross-layer hint channel: tagged reads feed the co-access map (read
+    // affinity influences placement of images not yet burned) regardless
+    // of the image's current tier. Untagged requests (stream == 0) are
+    // inert.
+    if (hint.stream != 0) {
+      affinity_->RecordRead(hint.stream, part.image_id);
     }
-    case ImageTier::kBurnedOnly: {
-      // Predictive tray prefetch: the stream's tray transition updates the
-      // predictor; a confident successor is queued as a background
-      // (speculative) load that demand traffic always preempts.
-      if (hint.stream != 0 && record->disc.has_value()) {
-        const int tray = record->disc->tray.ToIndex();
-        const int predicted = predictor_->Observe(hint.stream, tray);
-        if (predicted >= 0 && predicted != tray) {
-          scheduler_->EnqueueSpeculative(mech::TrayAddress::FromIndex(predicted));
-        }
-      }
-      // File-granular cache (future-work refinement of §4.1).
-      if (file_cache_->enabled()) {
-        const std::string key = FileCache::Key(part.image_id, internal_path);
-        if (const auto* content = file_cache_->Get(key)) {
-          if (offset + length <= content->size()) {
-            co_await sim_.Delay(
-                sim::Millis(0.5) + sim::TransferTime(length, 1.2e9));
-            co_return std::vector<std::uint8_t>(
-                content->begin() + static_cast<long>(offset),
-                content->begin() + static_cast<long>(offset + length));
-          }
-        }
-      }
-      // Not in the read cache by definition of this tier; Touch records
-      // the miss (hit/miss accounting lives inside ReadCache).
-      (void)cache_->Touch(part.image_id);
-      auto data = co_await ReadFromDisc(part.image_id, internal_path,
-                                        offset, length);
-      if (!data.ok() && (data.status().code() == StatusCode::kDataLoss ||
-                         data.status().code() == StatusCode::kUnavailable)) {
-        // Degraded read (§4.7): the disc is damaged or unreachable.
-        // Reconstruct the whole image from surviving members + parity,
-        // serve the requested bytes, and re-stage the image so it burns
-        // onto fresh media — the read succeeds, the repair rides behind.
-        ++degraded_reads_;
-        ROS_LOG(kWarning) << "degraded read of " << internal_path << " ("
-                          << part.image_id
-                          << "): " << data.status().ToString();
-        auto recovered = co_await ReconstructFromParity(part.image_id);
-        if (recovered.ok()) {
-          auto image = udf::Serializer::Parse(
-              MakeSharedBytes(std::move(*recovered)));
-          if (image.ok()) {
-            ++reconstructions_;
-            auto repaired =
-                std::make_shared<udf::Image>(std::move(*image));
-            auto bytes = repaired->ReadFile(internal_path, offset, length);
-            Status staged = co_await RepairImage(part.image_id, repaired);
-            if (!staged.ok()) {
-              ROS_LOG(kWarning) << "repair staging of " << part.image_id
-                                << " failed: " << staged.ToString();
-            }
-            co_return bytes;
-          }
-        }
-      }
-      if (data.ok() && file_cache_->enabled()) {
-        sim_.Spawn(TrackDetached(PrefetchTask(part.image_id, internal_path)));
-      }
-      // Whole-tray readahead: an announced scan stages the tray's sibling
-      // images into the read cache while the tray is still loaded, so the
-      // rest of the scan avoids re-fetching it after an eviction.
-      if (data.ok() && hint.scan && hint.stream != 0 &&
-          record->disc.has_value()) {
-        const int tray = record->disc->tray.ToIndex();
-        if (readahead_trays_.insert(tray).second) {
-          sim_.Spawn(TrackDetached(TrayReadaheadTask(part.image_id, tray)));
-        }
-      }
-      co_return data;
+    if ((*record)->tier == ImageTier::kBurnedOnly) {
+      return reader_->Read(std::move(part.image_id), std::move(internal_path),
+                           offset, length, hint);
     }
+    (void)cache_->Touch(part.image_id);
   }
-  co_return InternalError("unhandled image tier");
-}
-
-sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDisc(
-    std::string image_id, std::string internal_path,
-    std::uint64_t offset, std::uint64_t length) {
-  // Image-level single-flight: if another reader is mid-drive-read of this
-  // image, wait for it and serve from the parsed view it produced instead
-  // of charging a second optical read of the same sectors.
-  while (true) {
-    auto inflight = image_reads_.find(image_id);
-    if (inflight == image_reads_.end()) {
-      break;
-    }
-    std::shared_ptr<sim::Event> done = inflight->second;
-    co_await done->Wait();
-    auto mounted = disc_mounts_.find(image_id);
-    if (mounted != disc_mounts_.end()) {
-      ++shared_image_reads_;
-      // Pin the parsed image before suspending: the mount entry can be
-      // dropped (drive unloaded) while the buffer copy is in flight.
-      std::shared_ptr<udf::Image> image = mounted->second;
-      // Buffer copy out of controller memory, not an optical transfer.
-      co_await sim_.Delay(sim::Millis(0.5) + sim::TransferTime(length, 1.2e9));
-      co_return image->ReadFile(internal_path, offset, length);
-    }
-    // The leader failed; loop and contend for leadership ourselves.
-  }
-  auto done = std::make_shared<sim::Event>(sim_);
-  image_reads_.emplace(image_id, done);
-  auto result =
-      co_await ReadFromDiscLeader(image_id, internal_path, offset, length);
-  image_reads_.erase(image_id);
-  done->Set();
-  co_return result;
-}
-
-sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::MountParsedImage(
-    drive::OpticalDrive* drive, std::string image_id) {
-  // Mount the disc's UDF volume (wake + VFS mount as needed) and parse the
-  // image metadata once per mount.
-  ROS_CO_RETURN_IF_ERROR(co_await drive->MountVfs());
-  auto cached = disc_mounts_.find(image_id);
-  if (cached != disc_mounts_.end()) {
-    co_return cached->second;
-  }
-  ROS_CO_ASSIGN_OR_RETURN(const drive::Session* session,
-                          drive->disc()->FindSession(image_id));
-  // The physical read of the whole serialized stream validates media
-  // integrity (CRC); corrupted sectors surface here as kDataLoss. The
-  // caller charges the optical transfer it models, so the stream is
-  // parsed in place on the media: the view's files share the session's
-  // payload.
-  ROS_CO_RETURN_IF_ERROR(drive->disc()
-                             ->CheckSessionRead(image_id, 0,
-                                                session->stored_bytes)
-                             .status());
-  ROS_CO_ASSIGN_OR_RETURN(
-      udf::Image image,
-      udf::Serializer::Parse(session->data(), session->payload));
-  auto view = std::make_shared<udf::Image>(std::move(image));
-  disc_mounts_.emplace(std::move(image_id), view);
-  co_return view;
-}
-
-sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReadFromDiscLeader(
-    std::string image_id, std::string internal_path,
-    std::uint64_t offset, std::uint64_t length) {
-  ROS_CO_ASSIGN_OR_RETURN(FetchLease lease,
-                          co_await fetcher_->FetchDisc(image_id));
-  drive::OpticalDrive* drive = lease.drive();
-  // Pinned: the mount entry can be dropped if the drive is recycled while
-  // the optical transfer below waits.
-  ROS_CO_ASSIGN_OR_RETURN(std::shared_ptr<udf::Image> parsed,
-                          co_await MountParsedImage(drive, image_id));
-
-  // Charge the optical transfer (seek + media read) for the file bytes.
-  auto session = drive->disc()->FindSession(image_id);
-  if (session.ok()) {
-    const std::uint64_t n = std::min(length, (*session)->logical_size);
-    if (n > 0) {
-      ROS_CO_RETURN_IF_ERROR(co_await drive->ChargeRead(image_id, 0, n));
-    }
-  }
-  co_return parsed->ReadFile(internal_path, offset, length);
-}
-
-sim::Task<void> Olfs::PrefetchTask(std::string image_id,
-                                   std::string internal_path) {
-  auto lease = co_await fetcher_->FetchDisc(image_id);
-  if (!lease.ok()) {
-    co_return;
-  }
-  drive::OpticalDrive* drive = lease->drive();
-  Status mounted = co_await drive->MountVfs();
-  auto view = disc_mounts_.find(image_id);
-  if (!mounted.ok() || view == disc_mounts_.end()) {
-    lease->Release();
-    co_return;
-  }
-  std::shared_ptr<udf::Image> image = view->second;
-
-  // The requested file plus up to prefetch_siblings neighbours from the
-  // same directory (spatial locality, §4.1).
-  std::vector<std::string> targets{internal_path};
-  if (params_.prefetch_siblings > 0) {
-    const std::size_t slash = internal_path.rfind('/');
-    const std::string parent =
-        slash == 0 ? "/" : internal_path.substr(0, slash);
-    const std::string leaf = internal_path.substr(slash + 1);
-    auto siblings = image->List(parent);
-    if (siblings.ok()) {
-      int taken = 0;
-      for (const std::string& name : *siblings) {
-        if (taken >= params_.prefetch_siblings || name == leaf) {
-          continue;
-        }
-        const std::string candidate =
-            parent == "/" ? "/" + name : parent + "/" + name;
-        auto node = image->Lookup(candidate);
-        if (node.ok() && (*node)->type == udf::NodeType::kFile) {
-          targets.push_back(candidate);
-          ++taken;
-        }
-      }
-    }
-  }
-
-  for (const std::string& target : targets) {
-    const std::string key = FileCache::Key(image_id, target);
-    if (file_cache_->Contains(key)) {
-      continue;
-    }
-    auto node = image->Lookup(target);
-    if (!node.ok() || (*node)->type != udf::NodeType::kFile) {
-      continue;
-    }
-    const std::uint64_t size = (*node)->logical_size;
-    // Charge the optical transfer of the whole file.
-    auto session = drive->disc()->FindSession(image_id);
-    if (session.ok() && size > 0) {
-      Status timed = co_await drive->ChargeRead(
-          image_id, 0, std::min(size, (*session)->logical_size));
-      if (!timed.ok()) {
-        break;
-      }
-    }
-    auto content = image->ReadFile(target, 0, size);
-    if (content.ok()) {
-      file_cache_->Put(key, std::move(*content));
-    }
-  }
-  lease->Release();
-}
-
-sim::Task<void> Olfs::TrayReadaheadTask(std::string image_id,
-                                        int tray_index) {
-  auto record = images_->Lookup(image_id);
-  if (!record.ok()) {
-    readahead_trays_.erase(tray_index);
-    co_return;
-  }
-  // Sibling data images burned in the same disc array that still live only
-  // on their discs. Parity members carry no user files; skip them.
-  std::vector<std::string> siblings;
-  for (const std::string& member : (*record)->array_members) {
-    if (member == image_id) {
-      continue;
-    }
-    if (member.ends_with("-P") || member.ends_with("-Q")) {
-      continue;
-    }
-    auto sibling = images_->Lookup(member);
-    if (!sibling.ok() || (*sibling)->tier != ImageTier::kBurnedOnly ||
-        (*sibling)->parity || !(*sibling)->disc.has_value() ||
-        (*sibling)->disc->tray.ToIndex() != tray_index) {
-      continue;
-    }
-    siblings.push_back(member);
-    if (siblings.size() >= kReadaheadMaxImages) {
-      break;
-    }
-  }
-  for (const std::string& sibling : siblings) {
-    Status staged = co_await StageSiblingImage(sibling);
-    if (!staged.ok()) {
-      ROS_LOG(kDebug) << "tray readahead stopped at " << sibling << ": "
-                      << staged.ToString();
-      break;
-    }
-  }
-  readahead_trays_.erase(tray_index);
-}
-
-sim::Task<Status> Olfs::StageSiblingImage(std::string image_id) {
-  // Single-flight with concurrent demand readers of the same image: wait
-  // out any in-flight drive read and reuse the parsed view it produced.
-  while (true) {
-    auto inflight = image_reads_.find(image_id);
-    if (inflight == image_reads_.end()) {
-      break;
-    }
-    std::shared_ptr<sim::Event> done = inflight->second;
-    co_await done->Wait();
-  }
-  {
-    ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                            images_->Lookup(image_id));
-    if (record->tier != ImageTier::kBurnedOnly) {
-      co_return OkStatus();  // already buffered; nothing to stage
-    }
-  }
-
-  std::shared_ptr<udf::Image> image;
-  auto mounted = disc_mounts_.find(image_id);
-  if (mounted != disc_mounts_.end()) {
-    image = mounted->second;
-  } else {
-    auto done = std::make_shared<sim::Event>(sim_);
-    image_reads_.emplace(image_id, done);
-    auto result = co_await ReadSiblingStream(image_id);
-    image_reads_.erase(image_id);
-    done->Set();
-    if (!result.ok()) {
-      co_return result.status();
-    }
-    image = std::move(*result);
-  }
-
-  // The fetch yields to demand traffic; the image may have been repaired
-  // or re-staged by a degraded read in the meantime.
-  ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                          images_->Lookup(image_id));
-  if (record->tier != ImageTier::kBurnedOnly) {
-    co_return OkStatus();
-  }
-  // Stage into the disk buffer (sparse: the parsed image carries the
-  // bytes) without eating the burn pipeline's headroom.
-  const int vol = 0;
-  disk::Volume* volume = buckets_->volume(vol);
-  if (volume->free_bytes() <
-      image->used_bytes() + params_.buffer_reserve_bytes()) {
-    co_return ResourceExhaustedError(
-        "no buffer headroom for tray readahead");
-  }
-  const std::string file =
-      BucketManager::VolumeFileName(image_id) + "#ra" +
-      std::to_string(readahead_generation_++);
-  ROS_CO_RETURN_IF_ERROR(co_await volume->Create(file));
-  ROS_CO_RETURN_IF_ERROR(
-      co_await volume->AppendSparse(file, {}, image->used_bytes()));
-  ROS_CO_RETURN_IF_ERROR(
-      images_->RestoreToBuffer(image_id, std::move(image), vol, file));
-  // Probationary admission (the SLRU's scan resistance keeps readahead
-  // from churning the protected working set); capacity is enforced by the
-  // same eviction pass burns use.
-  cache_->Admit(image_id, record->logical_bytes);
-  ++readahead_images_;
-  readahead_bytes_ += record->logical_bytes;
-  co_return co_await burns_->EvictCacheOverflow();
-}
-
-sim::Task<StatusOr<std::shared_ptr<udf::Image>>> Olfs::ReadSiblingStream(
-    std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(FetchLease lease,
-                          co_await fetcher_->FetchDisc(image_id));
-  drive::OpticalDrive* drive = lease.drive();
-  ROS_CO_ASSIGN_OR_RETURN(std::shared_ptr<udf::Image> view,
-                          co_await MountParsedImage(drive, image_id));
-  // Charge the full-stream optical transfer.
-  auto timed = co_await drive->ChargeImageStream(std::move(image_id));
-  if (!timed.ok()) {
-    co_return timed.status();
-  }
-  co_return view;
+  // Open bucket, buffered or burned-and-cached; an unknown image fails
+  // there with the same lookup status.
+  return buckets_->ReadBuffered(std::move(part.image_id),
+                                std::move(internal_path), offset, length);
 }
 
 // ---------------------------------------------------------------------------
@@ -987,233 +608,7 @@ sim::Task<Status> Olfs::BurnMvSnapshot() {
       std::make_shared<udf::Image>(std::move(*snapshot)));
 }
 
-sim::Task<StatusOr<int>> Olfs::ScrubAndRepair() {
-  int repaired = 0;
-  for (const std::string& id : images_->BurnedImages()) {
-    auto record = images_->Lookup(id);
-    if (!record.ok() || !(*record)->disc.has_value() || (*record)->parity) {
-      continue;
-    }
-    drive::Disc* disc = mech_->DiscAt(*(*record)->disc);
-    if (disc->ScrubForErrors().empty()) {
-      continue;
-    }
-    ROS_LOG(kInfo) << "scrub found sector errors on "
-                   << (*record)->disc->ToString() << "; repairing " << id;
-    ROS_CO_RETURN_IF_ERROR(co_await RecoverAndRepairImage(id));
-    ++repaired;
-  }
-  co_return repaired;
-}
-
-sim::Task<Status> Olfs::RecoverAndRepairImage(std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(std::vector<std::uint8_t> recovered,
-                          co_await ReconstructFromParity(image_id));
-  auto image = udf::Serializer::Parse(MakeSharedBytes(std::move(recovered)));
-  if (!image.ok()) {
-    co_return DataLossError("parity recovery failed CRC for " + image_id);
-  }
-  ++reconstructions_;
-  co_return co_await RepairImage(
-      image_id, std::make_shared<udf::Image>(std::move(*image)));
-}
-
-sim::Task<Status> Olfs::RefreshImage(std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                          images_->Lookup(image_id));
-  if (record->parity) {
-    co_return InvalidArgumentError(
-        "parity images are regenerated at burn time, not refreshed");
-  }
-  if (record->tier != ImageTier::kBurnedCached &&
-      record->tier != ImageTier::kBurnedOnly) {
-    co_return FailedPreconditionError("image " + image_id +
-                                      " is not burned; nothing to refresh");
-  }
-  // Fast path: a still-cached image needs no optical read — the refresh
-  // burn re-stages the in-memory copy.
-  std::shared_ptr<udf::Image> image = record->image;
-  if (image == nullptr) {
-    // Disc-to-disc path: read the stream off the old media through the
-    // scheduler's background class, falling back to parity reconstruction
-    // when the old media is already too rotten to read.
-    auto mount = disc_mounts_.find(image_id);
-    if (mount != disc_mounts_.end()) {
-      image = mount->second;
-    }
-  }
-  if (image == nullptr) {
-    std::vector<std::uint8_t> stream;
-    bool direct_ok = false;
-    auto lease = co_await fetcher_->FetchDiscBackground(image_id);
-    if (lease.ok()) {
-      auto bytes = co_await lease->drive()->ReadImageStream(image_id);
-      lease->Release();
-      if (bytes.ok()) {
-        stream = std::move(*bytes);
-        direct_ok = true;
-      }
-    }
-    if (!direct_ok) {
-      ROS_CO_ASSIGN_OR_RETURN(stream,
-                              co_await ReconstructFromParity(image_id));
-      ++reconstructions_;
-    }
-    auto parsed = udf::Serializer::Parse(MakeSharedBytes(std::move(stream)));
-    if (!parsed.ok()) {
-      co_return DataLossError("refresh read of " + image_id +
-                              " failed CRC");
-    }
-    image = std::make_shared<udf::Image>(std::move(*parsed));
-  }
-  co_return co_await RepairImage(image_id, std::move(image));
-}
-
-namespace {
-
-bool HasSuffix(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() > n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-}  // namespace
-
-sim::Task<StatusOr<std::vector<std::uint8_t>>> Olfs::ReconstructFromParity(
-    std::string image_id) {
-  ROS_CO_ASSIGN_OR_RETURN(const ImageRecord* record,
-                          images_->Lookup(image_id));
-  // Gather surviving member streams + the parity stream(s). A member
-  // whose own media turns out damaged (kDataLoss) is added to the missing
-  // set rather than failing the recovery: under the RAID-6 schema a
-  // second data loss degrades to the double-erasure solve, and a damaged
-  // parity stream just drops out of the available set (§4.7).
-  const std::vector<std::string> members = record->array_members;
-  if (members.empty()) {
-    co_return DataLossError("no parity membership recorded for " + image_id);
-  }
-  std::vector<std::vector<std::uint8_t>> streams(members.size());
-  std::vector<std::uint8_t> p_stream;
-  std::vector<std::uint8_t> q_stream;
-  bool have_p = false;
-  bool have_q = false;
-  std::vector<int> missing;  // positions of lost *data* members
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    const std::string member = members[k];
-    const bool is_p = HasSuffix(member, "-P");
-    const bool is_q = HasSuffix(member, "-Q");
-    if (member == image_id) {
-      missing.push_back(static_cast<int>(k));
-      continue;
-    }
-    auto lookup = images_->Lookup(member);
-    if (!lookup.ok() || !(*lookup)->disc.has_value()) {
-      if (!is_p && !is_q) {
-        missing.push_back(static_cast<int>(k));
-      }
-      continue;
-    }
-    ROS_CO_ASSIGN_OR_RETURN(FetchLease lease,
-                            co_await fetcher_->FetchDisc(member));
-    auto stream = co_await lease.drive()->ReadImageStream(member);
-    lease.Release();
-    if (!stream.ok()) {
-      const StatusCode code = stream.status().code();
-      if (code != StatusCode::kNotFound && code != StatusCode::kDataLoss) {
-        co_return stream.status();  // mech trouble, not media rot
-      }
-      if (!is_p && !is_q) {
-        missing.push_back(static_cast<int>(k));
-      }
-      continue;
-    }
-    if (is_p) {
-      p_stream = std::move(*stream);
-      have_p = true;
-    } else if (is_q) {
-      q_stream = std::move(*stream);
-      have_q = true;
-    } else {
-      streams[k] = std::move(*stream);
-    }
-  }
-  // Strip parity slots from the member list (they were appended last) and
-  // translate the missing set into data-stream indices.
-  std::vector<std::vector<std::uint8_t>> data_streams;
-  std::vector<int> missing_data;
-  int requested_data_index = -1;
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    const std::string& member = members[k];
-    if (HasSuffix(member, "-P") || HasSuffix(member, "-Q")) {
-      continue;
-    }
-    const int data_index = static_cast<int>(data_streams.size());
-    if (std::find(missing.begin(), missing.end(), static_cast<int>(k)) !=
-        missing.end()) {
-      missing_data.push_back(data_index);
-    }
-    if (member == image_id) {
-      requested_data_index = data_index;
-    }
-    data_streams.push_back(std::move(streams[k]));
-  }
-  if (requested_data_index < 0) {
-    co_return InternalError("corrupted image not in its own array");
-  }
-  if (missing_data.size() == 1) {
-    if (have_p) {
-      co_return ParityBuilder::Recover(data_streams, {p_stream},
-                                       missing_data[0]);
-    }
-    if (have_q) {
-      // P rotted along with the data member; the Reed-Solomon parity
-      // alone still solves a single erasure.
-      co_return ParityBuilder::RecoverOneFromQ(data_streams, q_stream,
-                                               missing_data[0]);
-    }
-    co_return DataLossError("parity of " + image_id + " unreadable");
-  }
-  if (missing_data.size() == 2 && have_p && have_q) {
-    ROS_CO_ASSIGN_OR_RETURN(
-        auto pair, ParityBuilder::RecoverTwo(data_streams, p_stream,
-                                             q_stream, missing_data[0],
-                                             missing_data[1]));
-    co_return requested_data_index == missing_data[0]
-                  ? std::move(pair.first)
-                  : std::move(pair.second);
-  }
-  co_return DataLossError(
-      "array of " + image_id + " lost " +
-      std::to_string(missing_data.size()) +
-      " data members; beyond what the available parity can recover");
-}
-
-sim::Task<Status> Olfs::RepairImage(std::string image_id,
-                                    std::shared_ptr<udf::Image> image) {
-  // The recovered data re-enters the write path (staged back into the
-  // disk buffer) and will burn onto a fresh disc array (§4.7).
-  const int vol = 0;
-  disk::Volume* volume = buckets_->volume(vol);
-  const std::string file =
-      BucketManager::VolumeFileName(image_id) + "#repair" +
-      std::to_string(repaired_generation_++);
-  ROS_CO_RETURN_IF_ERROR(co_await volume->Create(file));
-  ROS_CO_RETURN_IF_ERROR(
-      co_await volume->AppendSparse(file, {}, image->used_bytes()));
-  ROS_CO_RETURN_IF_ERROR(
-      images_->ReopenForRepair(image_id, image, vol, file));
-  disc_mounts_.erase(image_id);
-  ++images_repaired_;
-  burns_->NotifyImageClosed(image_id);
-  co_return OkStatus();
-}
-
 Olfs::~Olfs() { *bg_alive_ = false; }
-
-sim::Task<void> Olfs::TrackDetached(sim::Task<void> task) {
-  ++detached_tasks_;
-  co_await std::move(task);
-  --detached_tasks_;
-}
 
 sim::Task<void> Olfs::Quiesce() {
   *bg_alive_ = false;
@@ -1224,7 +619,7 @@ sim::Task<void> Olfs::Quiesce() {
   // scheduler's dispatcher waiting for bay changes — hold no locks and
   // never resume, so they are safe to leave suspended; the chaos
   // controller-replacement path relies on the same property.)
-  while (bg_passes_ > 0 || detached_tasks_ > 0 ||
+  while (bg_passes_ > 0 || !reader_->Idle() ||
          burns_->active_burns() > 0 ||
          !scheduler_->Idle()) {
     co_await sim_.Delay(sim::Millis(100));
@@ -1234,262 +629,87 @@ sim::Task<void> Olfs::Quiesce() {
 void Olfs::StartBackgroundPolicies(sim::Duration mv_snapshot_interval,
                                    sim::Duration auto_flush_interval,
                                    sim::Duration scrub_interval) {
-  if (mv_snapshot_interval > 0) {
-    sim_.Spawn(MvSnapshotLoop(mv_snapshot_interval, bg_alive_));
-  }
-  if (auto_flush_interval > 0) {
-    sim_.Spawn(AutoFlushLoop(auto_flush_interval, bg_alive_));
-  }
-  if (scrub_interval > 0) {
-    sim_.Spawn(ScrubLoop(scrub_interval, bg_alive_));
+  const std::pair<Policy, sim::Duration> policies[] = {
+      {Policy::kMvSnapshot, mv_snapshot_interval},
+      {Policy::kAutoFlush, auto_flush_interval},
+      {Policy::kScrub, scrub_interval}};
+  for (const auto& [policy, interval] : policies) {
+    if (interval > 0) {
+      sim_.Spawn(PolicyLoop(policy, interval, bg_alive_));
+    }
   }
 }
 
-sim::Task<void> Olfs::ScrubLoop(sim::Duration interval,
-                                std::shared_ptr<const bool> alive) {
+sim::Task<void> Olfs::PolicyLoop(Policy policy, sim::Duration interval,
+                                 std::shared_ptr<const bool> alive) {
   while (true) {
     co_await sim_.Delay(interval);
     if (!*alive) {
       co_return;  // the facade is gone; touch nothing
     }
-    // Idle check: skip the pass while burns are running or clients are
-    // actively writing ("scheduled at idle times", §4.7).
-    if (burns_->active_burns() > 0 ||
-        sim_.now() - last_write_time_ < interval / 2) {
-      continue;
-    }
-    // Deep scrub (DESIGN.md §5j): walk every burned array at read speed
-    // through the scheduler's background class, repair damage from
-    // parity, refresh rotting arrays onto fresh media.
     ++bg_passes_;
-    auto pass = co_await scrub_->RunPass();
+    co_await PolicyPass(policy, interval);
     --bg_passes_;
-    if (!pass.ok()) {
-      ROS_LOG(kWarning) << "scheduled scrub failed: "
-                        << pass.status().ToString();
-    } else if (pass->repairs > 0 || pass->arrays_refreshed > 0) {
-      ROS_LOG(kInfo) << "scheduled scrub repaired " << pass->repairs
-                     << " image(s), refreshed " << pass->arrays_refreshed
-                     << " array(s)";
-    }
     if (!*alive) {
       co_return;
     }
   }
 }
 
-sim::Task<void> Olfs::MvSnapshotLoop(sim::Duration interval,
-                                     std::shared_ptr<const bool> alive) {
-  while (true) {
-    co_await sim_.Delay(interval);
-    if (!*alive) {
-      co_return;  // the facade is gone; touch nothing
-    }
-    if (namespace_writes_ == last_snapshot_writes_) {
-      continue;  // nothing changed since the last snapshot
-    }
-    last_snapshot_writes_ = namespace_writes_;
-    ++bg_passes_;
-    Status status = co_await BurnMvSnapshot();
-    --bg_passes_;
-    if (!status.ok()) {
-      ROS_LOG(kWarning) << "periodic MV snapshot failed: "
-                        << status.ToString();
-    }
-    if (!*alive) {
+sim::Task<void> Olfs::PolicyPass(Policy policy, sim::Duration interval) {
+  switch (policy) {
+    case Policy::kMvSnapshot: {
+      if (namespace_writes_ == last_snapshot_writes_) {
+        co_return;  // nothing changed since the last snapshot
+      }
+      last_snapshot_writes_ = namespace_writes_;
+      Status status = co_await BurnMvSnapshot();
+      if (!status.ok()) {
+        ROS_LOG(kWarning) << "periodic MV snapshot failed: "
+                          << status.ToString();
+      }
       co_return;
     }
-  }
-}
-
-sim::Task<void> Olfs::AutoFlushLoop(sim::Duration interval,
-                                    std::shared_ptr<const bool> alive) {
-  while (true) {
-    co_await sim_.Delay(interval);
-    if (!*alive) {
-      co_return;  // the facade is gone; touch nothing
-    }
-    // Flush when buffered data has been sitting idle for a full interval
-    // (don't interrupt an active ingest burst mid-bucket).
-    const bool idle = sim_.now() - last_write_time_ >= interval;
-    const bool dirty = !images_->UnburnedClosed().empty() ||
-                       buckets_->HasOpenBucketWithData();
-    if (idle && dirty) {
-      ++bg_passes_;
+    case Policy::kAutoFlush: {
+      // Flush when buffered data has been sitting idle for a full interval
+      // (don't interrupt an active ingest burst mid-bucket).
+      const bool idle = sim_.now() - last_write_time_ >= interval;
+      const bool dirty = !images_->UnburnedClosed().empty() ||
+                         buckets_->HasOpenBucketWithData();
+      if (!idle || !dirty) {
+        co_return;
+      }
       Status status = co_await buckets_->CloseCurrentBucket();
       if (status.ok()) {
         status = co_await burns_->FlushPartialArray();
       }
-      --bg_passes_;
       if (!status.ok()) {
         ROS_LOG(kWarning) << "auto-flush failed: " << status.ToString();
       }
-      if (!*alive) {
+      co_return;
+    }
+    case Policy::kScrub: {
+      // Idle check: skip the pass while burns are running or clients are
+      // actively writing ("scheduled at idle times", §4.7).
+      if (burns_->active_burns() > 0 ||
+          sim_.now() - last_write_time_ < interval / 2) {
         co_return;
       }
+      // Deep scrub (DESIGN.md §5j): walk every burned array at read speed
+      // through the scheduler's background class, repair damage from
+      // parity, refresh rotting arrays onto fresh media.
+      auto pass = co_await scrub_->RunPass();
+      if (!pass.ok()) {
+        ROS_LOG(kWarning) << "scheduled scrub failed: "
+                          << pass.status().ToString();
+      } else if (pass->repairs > 0 || pass->arrays_refreshed > 0) {
+        ROS_LOG(kInfo) << "scheduled scrub repaired " << pass->repairs
+                       << " image(s), refreshed " << pass->arrays_refreshed
+                       << " array(s)";
+      }
+      co_return;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Namespace recovery by scanning discs (§4.4)
-
-sim::Task<StatusOr<RecoveryReport>> Olfs::RebuildNamespace(
-    std::vector<mech::TrayAddress> trays) {
-  RecoveryReport report;
-  mv_->WipeAll();
-  disc_mounts_.clear();
-
-  struct PartInfo {
-    std::string image_id;
-    std::uint64_t size = 0;
-    int part = 0;
-  };
-  // (global path, version) -> parts.
-  std::map<std::pair<std::string, int>, std::vector<PartInfo>> files;
-  std::map<std::string, bool> directories;
-
-  for (const mech::TrayAddress& tray : trays) {
-    da_->set_state(tray, ArrayState::kUsed);
-    // ros-lint: allow(acquire-bay): namespace rebuild is a sequential
-    // full-rack scan with no concurrent readers to batch against.
-    auto bay = co_await mech_->AcquireBay(tray, /*wait=*/true);
-    if (!bay.ok()) {
-      co_return bay.status();
-    }
-    if (mech_->bay_tray(*bay).has_value() &&
-        *mech_->bay_tray(*bay) != tray) {
-      Status status = co_await mech_->UnloadArray(*bay);
-      if (!status.ok()) {
-        mech_->ReleaseBay(*bay);
-        co_return status;
-      }
-    }
-    if (!mech_->bay_tray(*bay).has_value()) {
-      Status status = co_await mech_->LoadArray(tray, *bay);
-      if (!status.ok()) {
-        mech_->ReleaseBay(*bay);
-        co_return status;
-      }
-    }
-
-    for (int i = 0; i < mech::kDiscsPerTray; ++i) {
-      ++report.discs_scanned;
-      drive::OpticalDrive& drive = mech_->drive_set(*bay).drive(i);
-      if (!drive.has_disc() || drive.disc()->blank()) {
-        continue;
-      }
-      Status mounted = co_await drive.MountVfs();
-      if (!mounted.ok()) {
-        ++report.unreadable_discs;
-        continue;
-      }
-      for (const drive::Session& session : drive.disc()->sessions()) {
-        if (session.image_id == "<metadata-zone>" || !session.closed) {
-          continue;
-        }
-        auto stream = co_await drive.ReadImageStream(session.image_id);
-        if (!stream.ok()) {
-          ++report.unreadable_discs;
-          continue;
-        }
-        // Parity discs carry raw parity of the serialized streams, not a
-        // UDF volume (§4.7); register them without parsing.
-        const bool parity = session.image_id.size() > 2 &&
-                            (session.image_id.ends_with("-P") ||
-                             session.image_id.ends_with("-Q"));
-        if (parity) {
-          (void)images_->RegisterRecovered(session.image_id, true,
-                                           mech::DiscAddress{tray, i},
-                                           session.logical_size);
-          continue;
-        }
-        auto parsed =
-            udf::Serializer::Parse(MakeSharedBytes(std::move(*stream)));
-        if (!parsed.ok()) {
-          ++report.unreadable_discs;
-          continue;
-        }
-        ++report.images_parsed;
-
-        // Re-register the image with DIM as burned-only.
-        (void)images_->RegisterRecovered(session.image_id, false,
-                                         mech::DiscAddress{tray, i},
-                                         session.logical_size);
-        parsed->Walk([&](const std::string& node_path,
-                         const udf::Node& node) {
-          ParsedInternalPath info = ParseInternalPath(node_path);
-          if (info.global_path.rfind(std::string(
-                  MetadataVolume::kSnapshotDir), 0) == 0) {
-            return;  // MV snapshot content, not user namespace
-          }
-          switch (node.type) {
-            case udf::NodeType::kDirectory:
-              directories[info.global_path] = true;
-              break;
-            case udf::NodeType::kFile:
-              files[{info.global_path, info.version}].push_back(
-                  {session.image_id, node.logical_size, 0});
-              break;
-            case udf::NodeType::kLink:
-              // "#prevK" link: the data node for part K sits in this
-              // image; annotate it below by part number.
-              for (auto& part : files[{info.global_path, info.version}]) {
-                if (part.image_id == session.image_id) {
-                  part.part = info.part;
-                }
-              }
-              break;
-          }
-        });
-      }
-    }
-    mech_->ReleaseBay(*bay);
-  }
-
-  // Rebuild MV index files.
-  for (const auto& [dir, unused] : directories) {
-    (void)unused;
-    ROS_CO_RETURN_IF_ERROR(
-        co_await mv_->Put(IndexFile(dir, EntryType::kDirectory)));
-  }
-  // Group versions per path (ascending) and emit entries.
-  std::map<std::string, std::vector<std::pair<int, std::vector<PartInfo>>>>
-      by_path;
-  for (auto& [key, parts] : files) {
-    std::sort(parts.begin(), parts.end(),
-              [](const PartInfo& a, const PartInfo& b) {
-                return a.part < b.part;
-              });
-    by_path[key.first].emplace_back(key.second, parts);
-  }
-  for (auto& [path, versions] : by_path) {
-    std::sort(versions.begin(), versions.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    IndexFile index(path, EntryType::kFile);
-    for (int v = 1; v <= versions.back().first; ++v) {
-      // Reconstruct missing intermediate versions as empty rings; only
-      // versions found on discs become entries.
-      auto it = std::find_if(versions.begin(), versions.end(),
-                             [v](const auto& pair) {
-                               return pair.first == v;
-                             });
-      VersionEntry entry;
-      if (it != versions.end()) {
-        entry.location = LocationKind::kDisc;
-        for (const PartInfo& part : it->second) {
-          entry.parts.push_back({part.image_id, part.size});
-          entry.total_size += part.size;
-        }
-      } else {
-        entry.tombstone = true;  // placeholder for a lost version
-      }
-      index.AddVersion(std::move(entry), kMaxVersionEntries);
-      report.files_recovered += (it != versions.end()) ? 1 : 0;
-    }
-    ROS_CO_RETURN_IF_ERROR(co_await mv_->Put(index));
-  }
-  co_return report;
 }
 
 }  // namespace ros::olfs

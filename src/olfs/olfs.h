@@ -13,7 +13,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -26,8 +25,8 @@
 #include "src/olfs/disc_image_store.h"
 #include "src/olfs/fetch_manager.h"
 #include "src/olfs/fetch_scheduler.h"
-#include "src/olfs/file_cache.h"
 #include "src/olfs/hints.h"
+#include "src/olfs/image_reader.h"
 #include "src/olfs/mech_controller.h"
 #include "src/olfs/metadata_volume.h"
 #include "src/olfs/params.h"
@@ -46,13 +45,6 @@ struct FileInfo {
   int version = 0;
   bool is_directory = false;
   LocationKind location = LocationKind::kBucket;
-};
-
-struct RecoveryReport {
-  int discs_scanned = 0;
-  int images_parsed = 0;
-  int files_recovered = 0;
-  int unreadable_discs = 0;
 };
 
 class Olfs {
@@ -154,28 +146,6 @@ class Olfs {
                                sim::Duration auto_flush_interval,
                                sim::Duration scrub_interval = 0);
 
-  // Periodic scrub (§4.7): checks burned discs for sector errors and
-  // recovers damaged images from their array's parity onto fresh media
-  // (a new bucket -> image -> burn cycle). Returns repaired image count.
-  // (Metadata-level sweep; the scheduled deep scrub with refresh burns
-  // lives in ScrubManager, DESIGN.md §5j.)
-  sim::Task<StatusOr<int>> ScrubAndRepair();
-
-  // Reconstructs one damaged image from its array's parity and re-stages
-  // it for a re-burn onto fresh media.
-  sim::Task<Status> RecoverAndRepairImage(std::string image_id);
-
-  // Refresh burn (DESIGN.md §5j): re-stages a *healthy* burned image so
-  // the pipeline re-burns it onto fresh media — from the cached copy when
-  // one exists, else a disc-to-disc read through the scheduler's
-  // background class, else parity reconstruction.
-  sim::Task<Status> RefreshImage(std::string image_id);
-
-  // Rebuilds the global namespace by physically scanning the given disc
-  // arrays (§4.4). Wipes the current MV first. Used after MV loss.
-  sim::Task<StatusOr<RecoveryReport>> RebuildNamespace(
-      std::vector<mech::TrayAddress> trays);
-
   // Quiesces the facade for a mid-simulation teardown (rack kill /
   // controller replacement, DESIGN.md §5k): permanently stops the
   // background policy loops, then waits until no background pass,
@@ -192,32 +162,9 @@ class Olfs {
   // Internal-op trace of the most recent PI operation (Fig 7).
   const std::vector<std::string>& last_op_trace() const { return op_trace_; }
 
-  // Drops the cached parsed view of a disc-mounted image (used with
-  // OpticalDrive::InvalidateVfs by benches staging Table 1's scenarios).
-  void DropDiscMount(const std::string& image_id) {
-    disc_mounts_.erase(image_id);
-  }
-  // The cached parsed view of a disc-mounted image; null if not mounted.
-  std::shared_ptr<const udf::Image> DiscMount(
-      const std::string& image_id) const {
-    auto it = disc_mounts_.find(image_id);
-    return it == disc_mounts_.end() ? nullptr : it->second;
-  }
-
-  // Self-healing telemetry: reads served degraded (the disc read failed),
-  // successful parity reconstructions, and images re-staged for re-burn.
-  std::uint64_t degraded_reads() const { return degraded_reads_; }
-  std::uint64_t reconstructions() const { return reconstructions_; }
-  std::uint64_t images_repaired() const { return images_repaired_; }
-
-  // Reads of a disc image served from a concurrent reader's in-flight
-  // drive read (image-level single-flight) instead of re-reading media.
-  std::uint64_t shared_image_reads() const { return shared_image_reads_; }
-
-  // Whole-tray readahead telemetry: sibling images staged into the read
-  // cache behind scan-hinted reads, and their logical bytes.
-  std::uint64_t readahead_images() const { return readahead_images_; }
-  std::uint64_t readahead_bytes() const { return readahead_bytes_; }
+  // Whole-tray readahead bytes (ImageReader::readahead_bytes), kept here
+  // for the benchmark harness.
+  std::uint64_t readahead_bytes() const { return reader_->readahead_bytes(); }
 
   RosSystem& system() { return *system_; }
   MetadataVolume& mv() { return *mv_; }
@@ -228,13 +175,13 @@ class Olfs {
   // Never null: every read's bay claim goes through the scheduler.
   FetchScheduler* fetch_scheduler() { return scheduler_.get(); }
   ReadCache& cache() { return *cache_; }
-  FileCache& file_cache() { return *file_cache_; }
   MechController& mech() { return *mech_; }
   DaIndex& da_index() { return *da_; }
   AffinityTracker& affinity() { return *affinity_; }
   TrayPredictor& predictor() { return *predictor_; }
   AuditRegistry& audit() { return *audit_; }
   ScrubManager& scrub() { return *scrub_; }
+  ImageReader& reader() { return *reader_; }
   sim::Simulator& simulator() { return sim_; }
   const OlfsParams& params() const { return params_; }
 
@@ -243,16 +190,14 @@ class Olfs {
   // it from the previous one) and records it in the trace.
   sim::Task<void> ChargeOp(const char* name, bool first = false);
 
-  sim::Task<void> MvSnapshotLoop(sim::Duration interval,
-                                 std::shared_ptr<const bool> alive);
-  sim::Task<void> AutoFlushLoop(sim::Duration interval,
-                                std::shared_ptr<const bool> alive);
-  sim::Task<void> ScrubLoop(sim::Duration interval,
-                            std::shared_ptr<const bool> alive);
-
-  // Wraps a detached task (prefetch, tray readahead) so Quiesce can wait
-  // for every frame that borrows this facade to finish.
-  sim::Task<void> TrackDetached(sim::Task<void> task);
+  // The background policies of StartBackgroundPolicies, each run by a
+  // PolicyLoop every `interval` until the facade goes away. A PolicyPass
+  // whose trigger does not hold (nothing new to snapshot, not idle) is a
+  // no-op.
+  enum class Policy { kMvSnapshot, kAutoFlush, kScrub };
+  sim::Task<void> PolicyLoop(Policy policy, sim::Duration interval,
+                             std::shared_ptr<const bool> alive);
+  sim::Task<void> PolicyPass(Policy policy, sim::Duration interval);
 
   // Ensures every ancestor directory has an MV index entry.
   sim::Task<Status> EnsureAncestors(std::string path);
@@ -268,57 +213,13 @@ class Olfs {
       std::string path, VersionEntry entry,
       std::uint64_t offset, std::uint64_t length, AccessHint hint = {});
 
-  // Reads a byte range of one part, resolving its current tier.
+  // Reads a byte range of one part: buffered tiers through the bucket
+  // manager, the burned-only tier through the ImageReader. Not a
+  // coroutine: it hands the request to the tier's reader, so a part read
+  // allocates no frame of its own.
   sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadPart(
       std::string internal_path, FilePart part,
       std::uint64_t offset, std::uint64_t length, AccessHint hint = {});
-
-  // Reads a file from a disc, sharing one drive read among concurrent
-  // readers of the same image (image-level single-flight): followers wait
-  // for the leader's physical read and serve from the parsed view.
-  sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadFromDisc(
-      std::string image_id, std::string internal_path,
-      std::uint64_t offset, std::uint64_t length);
-
-  // The leader's path: fetch lease, mount + parse, charge the file bytes.
-  sim::Task<StatusOr<std::vector<std::uint8_t>>> ReadFromDiscLeader(
-      std::string image_id, std::string internal_path,
-      std::uint64_t offset, std::uint64_t length);
-
-  // Mounts the disc in `drive` and returns the parsed view of `image_id`,
-  // parsing its stored stream into disc_mounts_ once per mount. Charges
-  // only the wake/VFS mount: callers charge the optical transfer.
-  sim::Task<StatusOr<std::shared_ptr<udf::Image>>> MountParsedImage(
-      drive::OpticalDrive* drive, std::string image_id);
-
-  // Background file-cache population: pulls the whole file (and up to
-  // prefetch_siblings directory neighbours) off the fetched disc.
-  sim::Task<void> PrefetchTask(std::string image_id,
-                               std::string internal_path);
-
-  // Whole-tray readahead (scan hint): stages burned sibling images of the
-  // tray just fetched into the read cache's probationary segment, so the
-  // rest of the scan reads from the disk buffer instead of re-fetching
-  // the tray after an eviction.
-  sim::Task<void> TrayReadaheadTask(std::string image_id, int tray_index);
-  // Reads one sibling's full stream (single-flight with concurrent
-  // readers) and re-admits it as kBurnedCached.
-  sim::Task<Status> StageSiblingImage(std::string image_id);
-  // Fetches + parses one sibling image off its disc (leader side of the
-  // single-flight), caching the parsed view in disc_mounts_.
-  sim::Task<StatusOr<std::shared_ptr<udf::Image>>> ReadSiblingStream(
-      std::string image_id);
-
-  // Rebuilds the full serialized stream of a damaged or unreachable image
-  // from its array's surviving members + parity (§4.7). Charges the
-  // optical reads of every surviving member.
-  sim::Task<StatusOr<std::vector<std::uint8_t>>> ReconstructFromParity(
-      std::string image_id);
-
-  // Stages a recovered image back into the disk buffer (tier kBuffered)
-  // and queues its re-burn onto fresh media.
-  sim::Task<Status> RepairImage(std::string image_id,
-                                std::shared_ptr<udf::Image> image);
 
   sim::Simulator& sim_;
   RosSystem* system_;
@@ -332,20 +233,13 @@ class Olfs {
   std::unique_ptr<ParityBuilder> parity_;
   std::unique_ptr<DaIndex> da_;
   std::unique_ptr<ReadCache> cache_;
-  std::unique_ptr<FileCache> file_cache_;
   std::unique_ptr<MechController> mech_;
   std::unique_ptr<FetchScheduler> scheduler_;
   std::unique_ptr<BurnManager> burns_;
   std::unique_ptr<FetchManager> fetcher_;
   std::unique_ptr<AuditRegistry> audit_;
   std::unique_ptr<ScrubManager> scrub_;
-
-  // Parsed metadata of disc-mounted images (the in-kernel UDF view).
-  std::map<std::string, std::shared_ptr<udf::Image>> disc_mounts_;
-
-  // Image-level read single-flight: image id -> completion event of the
-  // drive read currently in flight.
-  std::map<std::string, std::shared_ptr<sim::Event>> image_reads_;
+  std::unique_ptr<ImageReader> reader_;
 
   // Open streaming handles: cached index files, flushed on CloseStream.
   std::map<std::string, IndexFile> stream_handles_;
@@ -357,25 +251,13 @@ class Olfs {
 
   std::vector<std::string> op_trace_;
   int mv_snapshot_counter_ = 0;
-  int repaired_generation_ = 0;
-  std::uint64_t degraded_reads_ = 0;
-  std::uint64_t reconstructions_ = 0;
-  std::uint64_t images_repaired_ = 0;
-  std::uint64_t shared_image_reads_ = 0;
-  // Whole-tray readahead: in-flight trays (dedup), staged counters, and a
-  // generation suffix keeping staged buffer files unique.
-  std::set<int> readahead_trays_;
-  std::uint64_t readahead_images_ = 0;
-  std::uint64_t readahead_bytes_ = 0;
-  int readahead_generation_ = 0;
   std::uint64_t namespace_writes_ = 0;      // dirtiness since last snapshot
   std::uint64_t last_snapshot_writes_ = 0;
   sim::TimePoint last_write_time_ = 0;
   // Teardown support (Quiesce): liveness flag shared with the background
-  // loops, count of loop bodies mid-pass, and detached task frames alive.
+  // loops and count of loop bodies mid-pass.
   std::shared_ptr<bool> bg_alive_ = std::make_shared<bool>(true);
   int bg_passes_ = 0;
-  int detached_tasks_ = 0;
 };
 
 }  // namespace ros::olfs

@@ -7,6 +7,21 @@
 
 namespace ros::olfs {
 
+namespace {
+
+constexpr const char* kParitySuffix[] = {"-P", "-Q"};
+
+}  // namespace
+
+int ParityIndexOf(const std::string& image_id) {
+  for (int p = 0; p < 2; ++p) {
+    if (image_id.size() > 2 && image_id.ends_with(kParitySuffix[p])) {
+      return p;
+    }
+  }
+  return -1;
+}
+
 sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     std::vector<std::string> data_ids,
     std::vector<disk::Volume*> data_volumes, int parity_volume_index) {
@@ -68,7 +83,7 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
     ParityImage parity;
     parity.index = p;
     parity.id = "par-" + std::to_string(generation) + "-" +
-                data_ids.front() + (p == 0 ? "-P" : "-Q");
+                data_ids.front() + kParitySuffix[p];
     parity.logical_bytes = max_logical;
     parity.member_ids = data_ids;
 
@@ -107,19 +122,14 @@ sim::Task<StatusOr<std::vector<ParityImage>>> ParityBuilder::Build(
 }
 
 StatusOr<std::vector<std::uint8_t>> ParityBuilder::Recover(
-    const std::vector<std::vector<std::uint8_t>>& member_streams,
-    const std::vector<std::vector<std::uint8_t>>& parity_streams,
+    std::span<const ByteSpan> member_streams, ByteSpan p_stream,
     int missing_index) {
-  if (parity_streams.empty()) {
-    return FailedPreconditionError("no parity streams");
-  }
   if (missing_index < 0 ||
       missing_index >= static_cast<int>(member_streams.size())) {
     return InvalidArgumentError("bad missing index");
   }
   // Single loss: P alone suffices.
-  const std::vector<std::uint8_t>& p_stream = parity_streams[0];
-  std::vector<std::uint8_t> out(p_stream);
+  std::vector<std::uint8_t> out(p_stream.begin(), p_stream.end());
   for (std::size_t k = 0; k < member_streams.size(); ++k) {
     if (static_cast<int>(k) == missing_index) {
       if (!member_streams[k].empty()) {
@@ -142,8 +152,8 @@ StatusOr<std::vector<std::uint8_t>> ParityBuilder::Recover(
 }
 
 StatusOr<std::vector<std::uint8_t>> ParityBuilder::RecoverOneFromQ(
-    const std::vector<std::vector<std::uint8_t>>& member_streams,
-    const std::vector<std::uint8_t>& q_stream, int missing_index) {
+    std::span<const ByteSpan> member_streams, ByteSpan q_stream,
+    int missing_index) {
   const int n = static_cast<int>(member_streams.size());
   if (missing_index < 0 || missing_index >= n) {
     return InvalidArgumentError("bad missing index");
@@ -152,7 +162,7 @@ StatusOr<std::vector<std::uint8_t>> ParityBuilder::RecoverOneFromQ(
     return InvalidArgumentError("missing slot must be empty");
   }
   // Q' = Q ^ sum(g^i D_i) over the survivors leaves g^j D_j.
-  std::vector<std::uint8_t> out(q_stream);
+  std::vector<std::uint8_t> out(q_stream.begin(), q_stream.end());
   for (int k = 0; k < n; ++k) {
     if (k == missing_index) {
       continue;
@@ -173,11 +183,9 @@ StatusOr<std::vector<std::uint8_t>> ParityBuilder::RecoverOneFromQ(
 }
 
 StatusOr<std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>>
-ParityBuilder::RecoverTwo(
-    const std::vector<std::vector<std::uint8_t>>& member_streams,
-    const std::vector<std::uint8_t>& p_stream,
-    const std::vector<std::uint8_t>& q_stream, int missing_a,
-    int missing_b) {
+ParityBuilder::RecoverTwo(std::span<const ByteSpan> member_streams,
+                          ByteSpan p_stream, ByteSpan q_stream,
+                          int missing_a, int missing_b) {
   const int n = static_cast<int>(member_streams.size());
   if (missing_a < 0 || missing_b < 0 || missing_a >= n || missing_b >= n ||
       missing_a == missing_b) {
@@ -194,8 +202,8 @@ ParityBuilder::RecoverTwo(
     return InvalidArgumentError("P and Q streams differ in length");
   }
   // P' = P ^ sum(surviving D_i);  Q' = Q ^ sum(g^i D_i).
-  std::vector<std::uint8_t> pp(p_stream);
-  std::vector<std::uint8_t> qp(q_stream);
+  std::vector<std::uint8_t> pp(p_stream.begin(), p_stream.end());
+  std::vector<std::uint8_t> qp(q_stream.begin(), q_stream.end());
   for (int k = 0; k < n; ++k) {
     if (k == missing_a || k == missing_b) {
       continue;

@@ -14,6 +14,7 @@
 #define ROS_SRC_OLFS_PARITY_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -29,6 +30,11 @@
 #include "src/udf/image.h"
 
 namespace ros::olfs {
+
+// The parity index an image id was minted with by ParityBuilder::Build:
+// 0 for P (ids ending "-P"), 1 for Q ("-Q"), matching ParityImage::index;
+// -1 for a data image.
+int ParityIndexOf(const std::string& image_id);
 
 // Serialized parity payload carried on a parity disc.
 struct ParityImage {
@@ -60,20 +66,20 @@ class ParityBuilder {
       std::vector<disk::Volume*> data_volumes, int parity_volume_index);
 
   // Reconstructs one missing serialized data-image stream from the
-  // survivors + parity streams. `missing_index` is the position of the
-  // lost member within `member_streams` (which holds empty vectors at the
-  // missing slots). Pure computation; the caller charges I/O.
+  // survivors + the P (XOR) parity stream. `missing_index` is the position
+  // of the lost member within `member_streams` (which holds empty spans at
+  // the missing slots). Pure computation over borrowed bytes; the caller
+  // charges I/O.
   static StatusOr<std::vector<std::uint8_t>> Recover(
-      const std::vector<std::vector<std::uint8_t>>& member_streams,
-      const std::vector<std::vector<std::uint8_t>>& parity_streams,
+      std::span<const ByteSpan> member_streams, ByteSpan p_stream,
       int missing_index);
 
   // Single loss with P unreadable: recovers one missing data stream from
   // the survivors plus the Q (Reed-Solomon) parity alone:
   //   D_j = (Q ^ sum_{i != j} g^i D_i) * g^-j.
   static StatusOr<std::vector<std::uint8_t>> RecoverOneFromQ(
-      const std::vector<std::vector<std::uint8_t>>& member_streams,
-      const std::vector<std::uint8_t>& q_stream, int missing_index);
+      std::span<const ByteSpan> member_streams, ByteSpan q_stream,
+      int missing_index);
 
   // RAID-6 schema (§4.7, 10+2): reconstructs TWO missing data streams
   // from the survivors plus both the P and Q parity streams. Returns the
@@ -82,10 +88,8 @@ class ParityBuilder {
   //   D_a = (Q' ^ g^b P') / (g^a ^ g^b),  D_b = P' ^ D_a.
   static StatusOr<std::pair<std::vector<std::uint8_t>,
                             std::vector<std::uint8_t>>>
-  RecoverTwo(const std::vector<std::vector<std::uint8_t>>& member_streams,
-             const std::vector<std::uint8_t>& p_stream,
-             const std::vector<std::uint8_t>& q_stream, int missing_a,
-             int missing_b);
+  RecoverTwo(std::span<const ByteSpan> member_streams, ByteSpan p_stream,
+             ByteSpan q_stream, int missing_a, int missing_b);
 
   // Retrieves the cached parity bytes for an id (kept by the builder until
   // burned; benches use this). O(1) via the id index.

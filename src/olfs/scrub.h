@@ -14,7 +14,12 @@
 // rotting first-generation media is rewritten onto denser, younger
 // stock.
 //
-// It also owns physical audit verification: RunAudit samples leaves of
+// It also owns media repair, for the scrub and for degraded reads alike:
+// RecoverImage rebuilds one image from its array's surviving members and
+// parity (§4.7), and RepairImage stages the rebuilt image back into the
+// disk buffer so it burns onto fresh media.
+//
+// And it owns physical audit verification: RunAudit samples leaves of
 // the persisted Merkle manifests (audit.h) off the media and recomputes
 // their hashes, certifying integrity while reading only a small fraction
 // of the stored bytes.
@@ -22,12 +27,15 @@
 #define ROS_SRC_OLFS_SCRUB_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/drive/optical_drive.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
+#include "src/udf/image.h"
 
 namespace ros::olfs {
 
@@ -74,7 +82,30 @@ class ScrubManager {
   sim::Task<StatusOr<AuditReport>> RunAudit(double sample_fraction,
                                             std::uint64_t seed);
 
-  // Lifetime counters (surfaced by the maintenance report).
+  // Metadata-level sweep (§4.7): checks every burned data disc for sector
+  // errors and recovers each damaged image from its array's parity onto
+  // fresh media. Returns the repaired image count. (RunPass is the
+  // scheduled deep scrub that reads the media back.)
+  sim::Task<StatusOr<int>> ScrubAndRepair();
+
+  // RecoverImage, then RepairImage.
+  sim::Task<Status> RecoverAndRepairImage(std::string image_id);
+
+  // Rebuilds the full serialized stream of a damaged or unreachable image
+  // from its array's surviving members + parity and parses it. Charges
+  // the optical reads of every surviving member; counts a reconstruction.
+  sim::Task<StatusOr<std::shared_ptr<udf::Image>>> RecoverImage(
+      std::string image_id);
+
+  // Stages a recovered image back into the disk buffer (tier kBuffered)
+  // and queues its re-burn onto fresh media.
+  sim::Task<Status> RepairImage(std::string image_id,
+                                std::shared_ptr<udf::Image> image);
+
+  // Lifetime counters (surfaced by the maintenance report), from the
+  // self-healing RecoverImage/RepairImage to the audit.
+  std::uint64_t reconstructions() const { return reconstructions_; }
+  std::uint64_t images_repaired() const { return images_repaired_; }
   std::uint64_t passes() const { return passes_; }
   std::uint64_t scrubbed_bytes() const { return scrubbed_bytes_; }
   std::uint64_t scrub_repairs() const { return scrub_repairs_; }
@@ -85,10 +116,21 @@ class ScrubManager {
   std::uint64_t audit_mismatches() const { return audit_mismatches_; }
 
  private:
-  // Reads one member's full stream back through a background lease.
-  // Returns the stream size on success, kDataLoss when the media is
-  // damaged in range; other codes are mech trouble.
-  sim::Task<StatusOr<std::uint64_t>> ScrubOneImage(std::string image_id);
+  // Reads one member's full stream back through a background lease and
+  // returns it in place. kDataLoss when the media is damaged in range;
+  // other codes are mech trouble.
+  sim::Task<StatusOr<drive::StreamView>> ReadBack(std::string image_id);
+
+  // Refresh burn (DESIGN.md §5j): re-stages a *healthy* burned image so
+  // the pipeline re-burns it onto fresh media — from the cached copy when
+  // one exists, else a disc-to-disc read through the scheduler's
+  // background class, else parity reconstruction.
+  sim::Task<Status> RefreshImage(std::string image_id);
+
+  // The serialized stream RecoverImage parses, rebuilt from the surviving
+  // members' streams, read in place off their discs.
+  sim::Task<StatusOr<std::vector<std::uint8_t>>> ReconstructFromParity(
+      std::string image_id);
 
   // Re-burns one array onto fresh media: damaged data members through
   // parity recovery, clean ones as refresh burns; retires the old tray.
@@ -100,6 +142,9 @@ class ScrubManager {
   sim::Simulator& sim_;
   Olfs* olfs_;
   bool migrated_ = false;  // generation migration fires once
+  int repaired_generation_ = 0;  // keeps repair buffer files unique
+  std::uint64_t reconstructions_ = 0;
+  std::uint64_t images_repaired_ = 0;
   std::uint64_t passes_ = 0;
   std::uint64_t scrubbed_bytes_ = 0;
   std::uint64_t scrub_repairs_ = 0;

@@ -275,14 +275,14 @@ TEST_F(ChaosTest, InjectedSectorErrorServedDegradedAndRepaired) {
 
   ExpectReadsBack("/chaos/rot.bin", payload);
   EXPECT_EQ(faults.injected(FaultKind::kLatentSectorError), 1u);
-  EXPECT_EQ(olfs_->degraded_reads(), 1u);
-  EXPECT_EQ(olfs_->reconstructions(), 1u);
-  EXPECT_EQ(olfs_->images_repaired(), 1u);
+  EXPECT_EQ(olfs_->reader().degraded_reads(), 1u);
+  EXPECT_EQ(olfs_->scrub().reconstructions(), 1u);
+  EXPECT_EQ(olfs_->scrub().images_repaired(), 1u);
 
   // The repair re-burn drains; afterwards the file reads clean.
   ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
   ExpectReadsBack("/chaos/rot.bin", payload);
-  EXPECT_EQ(olfs_->degraded_reads(), 1u);
+  EXPECT_EQ(olfs_->reader().degraded_reads(), 1u);
 }
 
 // A permanent burn failure marks the array kFailed and the job completes
@@ -444,7 +444,7 @@ TEST_F(ChaosTest, SeededChaosRunLosesNoAckedWrites) {
     // Storm over: scrub out the physical rot, drain repairs, then prove
     // the namespace survives a from-scratch disc scan.
     system_->InstallFaultInjector(nullptr);
-    auto scrubbed = sim_->RunUntilComplete(olfs_->ScrubAndRepair());
+    auto scrubbed = sim_->RunUntilComplete(olfs_->scrub().ScrubAndRepair());
     ASSERT_TRUE(scrubbed.ok()) << scrubbed.status().ToString();
     ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
 
@@ -463,7 +463,9 @@ TEST_F(ChaosTest, SeededChaosRunLosesNoAckedWrites) {
     }
     olfs_ = std::make_unique<Olfs>(*sim_, system_.get(), ChaosParams());
     olfs_->burns().burn_start_interval = Seconds(1);
-    auto report = sim_->RunUntilComplete(olfs_->RebuildNamespace(trays));
+    Maintenance maintenance(olfs_.get());
+    auto report =
+        sim_->RunUntilComplete(maintenance.RebuildNamespace(trays));
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     // Rotted sectors stay rotted on WORM media (repairs re-burn onto
     // fresh discs), so the scan may skip old damaged media — what must

@@ -84,7 +84,7 @@ TEST_F(FetchConcurrencyTest, ConcurrentReadsOfSameDiscShareOneFetch) {
   EXPECT_EQ(olfs_->fetches().fetches(), 1u);
   // Image-level single-flight: one leader performed the optical read, the
   // other five were served from its parsed image.
-  EXPECT_EQ(olfs_->shared_image_reads(), 5u);
+  EXPECT_EQ(olfs_->reader().shared_image_reads(), 5u);
   // Total stays near one load+read, not six.
   EXPECT_LT(ToSeconds(sim_.now() - t0), 110.0);
 }
@@ -403,6 +403,136 @@ TEST(FetchSchedulerDeterminismTest, SchedulerOnOffReadsAreByteIdentical) {
         << "reader " << r;
   }
 }
+
+// A demand read of image X races a scan-hinted tray readahead that stages
+// X. Whichever reaches the disc first leads the one drive read of X; the
+// other shares its parsed view. GetParam() is true when the readahead
+// leads.
+class ReadaheadRaceTest : public ::testing::TestWithParam<bool> {
+ protected:
+  ReadaheadRaceTest() {
+    system_ = std::make_unique<RosSystem>(sim_, TestSystemConfig());
+    OlfsParams params;
+    params.disc_capacity_override = 16 * kMiB;
+    olfs_ = std::make_unique<Olfs>(sim_, system_.get(), params);
+    olfs_->burns().burn_start_interval = Seconds(1);
+  }
+  ~ReadaheadRaceTest() override { sim_.Shutdown(); }
+
+  std::string ImageOf(const std::string& path) {
+    auto index = sim_.RunUntilComplete(olfs_->mv().Get(path));
+    ROS_CHECK(index.ok());
+    return (*index->Latest())->parts.at(0).image_id;
+  }
+
+  std::uint64_t OpticalBytesRead() const {
+    std::uint64_t total = 0;
+    for (drive::DriveSet* set : system_->drive_sets()) {
+      for (int i = 0; i < set->size(); ++i) {
+        total += set->drive(i).bytes_read();
+      }
+    }
+    return total;
+  }
+
+  sim::Simulator sim_;
+  std::unique_ptr<RosSystem> system_;
+  std::unique_ptr<Olfs> olfs_;
+};
+
+// Reads `path` and checks it returns `expected`.
+sim::Task<Status> ReadAndCheck(Olfs* olfs, std::string path,
+                               std::vector<std::uint8_t> expected,
+                               AccessHint hint) {
+  auto data = co_await olfs->Read(path, 0, expected.size(), hint);
+  if (!data.ok()) {
+    co_return data.status();
+  }
+  co_return *data == expected ? OkStatus()
+                              : DataLossError("content mismatch: " + path);
+}
+
+// A scan-hinted read of /scan/y, then a plain read of /scan/x.
+sim::Task<Status> ScanYThenReadX(Olfs* olfs, std::vector<std::uint8_t> y,
+                                 std::vector<std::uint8_t> x,
+                                 AccessHint scan) {
+  ROS_CO_RETURN_IF_ERROR(
+      co_await ReadAndCheck(olfs, "/scan/y", std::move(y), scan));
+  const AccessHint plain;
+  co_return co_await ReadAndCheck(olfs, "/scan/x", std::move(x), plain);
+}
+
+TEST_P(ReadaheadRaceTest, DemandReadAndReadaheadShareOneDriveRead) {
+  const bool readahead_leads = GetParam();
+  const std::vector<std::uint8_t> x_bytes = RandomBytes(8 * kMiB, 71);
+  const std::vector<std::uint8_t> y_bytes = RandomBytes(8 * kKiB, 72);
+  // Two data images of one array: X's bucket closes before Y is written.
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->Create("/scan/x", x_bytes)).ok());
+  ASSERT_TRUE(
+      sim_.RunUntilComplete(olfs_->buckets().CloseCurrentBucket()).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->Create("/scan/y", y_bytes)).ok());
+  ASSERT_TRUE(sim_.RunUntilComplete(olfs_->FlushAndDrain()).ok());
+  const std::string x = ImageOf("/scan/x");
+  const std::string y = ImageOf("/scan/y");
+  ASSERT_NE(x, y);
+  // Evict both as the read cache's overflow pass would, so the reads
+  // below go to the discs.
+  for (const std::string& id : {x, y}) {
+    ASSERT_TRUE(olfs_->images().DropFromBuffer(id).ok());
+    olfs_->cache().Remove(id);
+  }
+  const ImageRecord* x_record = *olfs_->images().Lookup(x);
+  const ImageRecord* y_record = *olfs_->images().Lookup(y);
+  ASSERT_EQ(x_record->disc->tray, y_record->disc->tray);
+  const std::uint64_t x_stream = (*olfs_->mech()
+                                        .DiscAt(*x_record->disc)
+                                        ->FindSession(x))
+                                     ->stored_bytes;
+
+  const AccessHint scan{/*stream=*/7, /*scan=*/true};
+  const std::uint64_t before = OpticalBytesRead();
+  Status status;
+  if (readahead_leads) {
+    // The scan-hinted read of Y starts the tray readahead, whose drive
+    // read of X is still in flight when the demand read of X arrives.
+    status = sim_.RunUntilComplete(
+        ScanYThenReadX(olfs_.get(), y_bytes, x_bytes, scan));
+  } else {
+    // The demand read of X (8 MiB) outlasts the scan-hinted read of Y
+    // (8 KiB) after the shared tray load, so the readahead finds X's
+    // drive read in flight.
+    std::vector<sim::Task<Status>> reads;
+    reads.push_back(ReadAndCheck(olfs_.get(), "/scan/x", x_bytes, {}));
+    reads.push_back(ReadAndCheck(olfs_.get(), "/scan/y", y_bytes, scan));
+    status = sim_.RunUntilComplete(sim::AllOk(sim_, std::move(reads)));
+  }
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  // Let the readahead finish staging.
+  sim_.RunUntilComplete(olfs_->Quiesce());
+
+  // One drive read of X between them: the readahead's whole stream, or the
+  // demand read's file bytes; plus the demand read of Y.
+  const std::uint64_t x_read = readahead_leads ? x_stream : x_bytes.size();
+  EXPECT_EQ(OpticalBytesRead() - before, x_read + y_bytes.size());
+  // A demand read that follows is a shared read; a readahead that follows
+  // stages the leader's view and serves no read, so it is not counted.
+  EXPECT_EQ(olfs_->reader().shared_image_reads(), readahead_leads ? 1u : 0u);
+  EXPECT_EQ(olfs_->reader().readahead_images(), 1u);
+  // The readahead's staged copy holds the seeded bytes: a re-read of X is
+  // served from the disk buffer, with no further optical read.
+  EXPECT_EQ((*olfs_->images().Lookup(x))->tier, ImageTier::kBurnedCached);
+  const std::uint64_t staged = OpticalBytesRead();
+  auto again = sim_.RunUntilComplete(olfs_->Read("/scan/x", 0, x_bytes.size()));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, x_bytes);
+  EXPECT_EQ(OpticalBytesRead(), staged);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothOrders, ReadaheadRaceTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "ReadaheadLeads"
+                                              : "DemandLeads";
+                         });
 
 }  // namespace
 }  // namespace ros::olfs

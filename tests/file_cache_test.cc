@@ -128,7 +128,7 @@ TEST(FileCacheIntegration, RepeatReadsHitAfterArrayUnloaded) {
   // The file-granular cache still answers without any mechanics.
   double warm = rig.TimedRead(0);
   EXPECT_LT(warm, 0.1);
-  EXPECT_GT(rig.olfs->file_cache().hits(), 0u);
+  EXPECT_GT(rig.olfs->reader().file_cache().hits(), 0u);
 }
 
 TEST(FileCacheIntegration, SiblingPrefetchWarmsTheDirectory) {
@@ -140,7 +140,7 @@ TEST(FileCacheIntegration, SiblingPrefetchWarmsTheDirectory) {
 
   // All siblings are now cached.
   for (int i = 1; i < 5; ++i) {
-    EXPECT_TRUE(rig.olfs->file_cache().Contains(FileCache::Key(
+    EXPECT_TRUE(rig.olfs->reader().file_cache().Contains(FileCache::Key(
         rig.olfs->images().BurnedImages().empty()
             ? ""
             : [&] {

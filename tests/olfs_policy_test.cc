@@ -19,6 +19,12 @@ namespace {
 using sim::Seconds;
 using sim::ToSeconds;
 
+// The recover functions borrow their inputs as spans.
+std::vector<ByteSpan> Views(
+    const std::vector<std::vector<std::uint8_t>>& streams) {
+  return {streams.begin(), streams.end()};
+}
+
 std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::uint8_t> out(n);
@@ -215,7 +221,7 @@ TEST(Raid6Schema, BurnsAndScrubsWithTwoParityImages) {
   auto record = olfs.images().Lookup((*index->Latest())->parts[0].image_id);
   ASSERT_TRUE(record.ok());
   olfs.mech().DiscAt(*(*record)->disc)->CorruptSector(1);
-  auto repaired = sim.RunUntilComplete(olfs.ScrubAndRepair());
+  auto repaired = sim.RunUntilComplete(olfs.scrub().ScrubAndRepair());
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_EQ(*repaired, 1);
   ASSERT_TRUE(sim.RunUntilComplete(olfs.FlushAndDrain()).ok());
@@ -249,7 +255,7 @@ TEST(RecoverTwo, ReconstructsAnyTwoMissingStreams) {
       auto original_b = survivors[b];
       survivors[a].clear();
       survivors[b].clear();
-      auto recovered = ParityBuilder::RecoverTwo(survivors, p, q, a, b);
+      auto recovered = ParityBuilder::RecoverTwo(Views(survivors), p, q, a, b);
       ASSERT_TRUE(recovered.ok()) << a << "," << b;
       EXPECT_TRUE(std::equal(original_a.begin(), original_a.end(),
                              recovered->first.begin()));
@@ -265,11 +271,11 @@ TEST(RecoverTwo, RejectsBadArguments) {
   streams[3] = {2};
   std::vector<std::uint8_t> p{0};
   std::vector<std::uint8_t> q{0};
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q, 1, 1).ok());
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q, 1, 9).ok());
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q, 0, 1).ok());
+  EXPECT_FALSE(ParityBuilder::RecoverTwo(Views(streams), p, q, 1, 1).ok());
+  EXPECT_FALSE(ParityBuilder::RecoverTwo(Views(streams), p, q, 1, 9).ok());
+  EXPECT_FALSE(ParityBuilder::RecoverTwo(Views(streams), p, q, 0, 1).ok());
   std::vector<std::uint8_t> q_long{0, 0};
-  EXPECT_FALSE(ParityBuilder::RecoverTwo(streams, p, q_long, 1, 2).ok());
+  EXPECT_FALSE(ParityBuilder::RecoverTwo(Views(streams), p, q_long, 1, 2).ok());
 }
 
 // §5.1's power reference points.

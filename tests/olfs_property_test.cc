@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "src/common/rng.h"
+#include "src/olfs/maintenance.h"
 #include "src/olfs/olfs.h"
 #include "src/sim/time.h"
 
@@ -183,7 +184,8 @@ TEST_P(PropertySweep, RandomWorkloadInvariants) {
       }
     }
 
-    auto report = sim.RunUntilComplete(olfs.RebuildNamespace(trays));
+    Maintenance maintenance(&olfs);
+    auto report = sim.RunUntilComplete(maintenance.RebuildNamespace(trays));
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     for (const auto& [f, expect] : disc_resident) {
       auto data = sim.RunUntilComplete(

@@ -10,6 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/olfs/maintenance.h"
 #include "src/sim/time.h"
 
 namespace ros::olfs {
@@ -339,14 +340,14 @@ TEST_F(OlfsTest, ScrubRepairsCorruptedDiscFromParity) {
   auto broken = sim_->RunUntilComplete(olfs_->Read("/precious", 0, 100));
   ASSERT_TRUE(broken.ok()) << broken.status().ToString();
   EXPECT_TRUE(std::equal(broken->begin(), broken->end(), payload.begin()));
-  EXPECT_EQ(olfs_->degraded_reads(), 1u);
-  EXPECT_EQ(olfs_->reconstructions(), 1u);
-  EXPECT_EQ(olfs_->images_repaired(), 1u);
+  EXPECT_EQ(olfs_->reader().degraded_reads(), 1u);
+  EXPECT_EQ(olfs_->scrub().reconstructions(), 1u);
+  EXPECT_EQ(olfs_->scrub().images_repaired(), 1u);
   ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
 
   // The repair already re-staged the image, so the scrub finds nothing
   // further to do.
-  auto repaired = sim_->RunUntilComplete(olfs_->ScrubAndRepair());
+  auto repaired = sim_->RunUntilComplete(olfs_->scrub().ScrubAndRepair());
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_EQ(*repaired, 0);
 
@@ -376,16 +377,16 @@ TEST_F(OlfsTest, ScrubRepairsSilentCorruptionWithoutARead) {
   ASSERT_TRUE((*record)->disc.has_value());
   olfs_->mech().DiscAt(*(*record)->disc)->CorruptSector(1);
 
-  auto repaired = sim_->RunUntilComplete(olfs_->ScrubAndRepair());
+  auto repaired = sim_->RunUntilComplete(olfs_->scrub().ScrubAndRepair());
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_EQ(*repaired, 1);
-  EXPECT_EQ(olfs_->reconstructions(), 1u);
+  EXPECT_EQ(olfs_->scrub().reconstructions(), 1u);
   ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
 
   auto data = sim_->RunUntilComplete(olfs_->Read("/quiet", 0, 100));
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   EXPECT_TRUE(std::equal(data->begin(), data->end(), payload.begin()));
-  EXPECT_EQ(olfs_->degraded_reads(), 0u);
+  EXPECT_EQ(olfs_->reader().degraded_reads(), 0u);
 }
 
 // §4.7: a sibling whose session is gone from its disc counts as one more
@@ -430,9 +431,10 @@ TEST_F(OlfsTest, ParityRecoveryTreatsMissingSessionAsLostMember) {
   ASSERT_TRUE(olfs_->mech().DiscAt(*(*record_b)->disc)->Erase().ok());
   olfs_->mech().DiscAt(*(*record_a)->disc)->CorruptSector(1);
 
-  ASSERT_TRUE(
-      sim_->RunUntilComplete(olfs_->RecoverAndRepairImage(image_a)).ok());
-  EXPECT_EQ(olfs_->reconstructions(), 1u);
+  ASSERT_TRUE(sim_->RunUntilComplete(
+                  olfs_->scrub().RecoverAndRepairImage(image_a))
+                  .ok());
+  EXPECT_EQ(olfs_->scrub().reconstructions(), 1u);
   ASSERT_TRUE(sim_->RunUntilComplete(olfs_->FlushAndDrain()).ok());
   auto data = sim_->RunUntilComplete(
       olfs_->Read("/a", 0, payload_a.size()));
@@ -472,7 +474,9 @@ TEST_F(OlfsTest, NamespaceRebuiltFromDiscScanAfterTotalMvLoss) {
                 olfs_->Read("/proj/data/a.bin", 0, 10)).status().code(),
             StatusCode::kNotFound);
 
-  auto report = sim_->RunUntilComplete(olfs_->RebuildNamespace({tray}));
+  Maintenance maintenance(olfs_.get());
+  auto report =
+      sim_->RunUntilComplete(maintenance.RebuildNamespace({tray}));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->discs_scanned, 12);
   // One data image (all three writes fit one bucket); the parity disc is

@@ -14,6 +14,12 @@
 namespace ros::olfs {
 namespace {
 
+// The recover functions borrow their inputs as spans.
+std::vector<ByteSpan> Views(
+    const std::vector<std::vector<std::uint8_t>>& streams) {
+  return {streams.begin(), streams.end()};
+}
+
 class ParityTest : public ::testing::Test {
  protected:
   ParityTest() {
@@ -107,6 +113,13 @@ TEST_F(ParityTest, Raid6BuildsPAndQ) {
   ASSERT_EQ(parities->size(), 2u);
   EXPECT_TRUE((*parities)[0].id.ends_with("-P"));
   EXPECT_TRUE((*parities)[1].id.ends_with("-Q"));
+  // The one parity-id decoder recognizes what Build mints, and only it.
+  EXPECT_EQ(ParityIndexOf((*parities)[0].id), (*parities)[0].index);
+  EXPECT_EQ(ParityIndexOf((*parities)[1].id), (*parities)[1].index);
+  for (const std::string& id : ids) {
+    EXPECT_EQ(ParityIndexOf(id), -1) << id;
+  }
+  EXPECT_EQ(ParityIndexOf("-P"), -1);
   auto p = builder_->Get((*parities)[0].id);
   auto q = builder_->Get((*parities)[1].id);
   ASSERT_TRUE(p.ok());
@@ -175,8 +188,8 @@ TEST_F(ParityTest, Raid6DoubleLossRoundTripThroughFusedPath) {
       std::vector<std::uint8_t> orig_b = survivors[b];
       survivors[a].clear();
       survivors[b].clear();
-      auto recovered = ParityBuilder::RecoverTwo(survivors, *(*p)->bytes,
-                                                 *(*q)->bytes, a, b);
+      auto recovered = ParityBuilder::RecoverTwo(
+          Views(survivors), *(*p)->bytes, *(*q)->bytes, a, b);
       ASSERT_TRUE(recovered.ok()) << a << "," << b;
       EXPECT_TRUE(std::equal(orig_a.begin(), orig_a.end(),
                              recovered->first.begin()));
@@ -218,7 +231,8 @@ TEST_F(ParityTest, RecoverOneFromQAloneWhenPIsUnreadable) {
     auto original = std::move(survivors[missing]);
     survivors[missing].clear();
     auto recovered =
-        ParityBuilder::RecoverOneFromQ(survivors, *(*q)->bytes, missing);
+        ParityBuilder::RecoverOneFromQ(Views(survivors), *(*q)->bytes,
+                                       missing);
     ASSERT_TRUE(recovered.ok()) << "missing " << missing;
     ASSERT_GE(recovered->size(), original.size());
     EXPECT_TRUE(std::equal(original.begin(), original.end(),
@@ -231,10 +245,12 @@ TEST_F(ParityTest, RecoverOneFromQAloneWhenPIsUnreadable) {
   auto survivors = streams;
   survivors[0].clear();
   EXPECT_FALSE(
-      ParityBuilder::RecoverOneFromQ(survivors, *(*q)->bytes, 1).ok());
+      ParityBuilder::RecoverOneFromQ(Views(survivors), *(*q)->bytes, 1)
+          .ok());
   survivors[1].clear();
   EXPECT_FALSE(
-      ParityBuilder::RecoverOneFromQ(survivors, *(*q)->bytes, 0).ok());
+      ParityBuilder::RecoverOneFromQ(Views(survivors), *(*q)->bytes, 0)
+          .ok());
 }
 
 TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
@@ -259,7 +275,7 @@ TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
     auto original = std::move(survivors[missing]);
     survivors[missing].clear();
     auto recovered = ParityBuilder::Recover(
-        survivors, {*(*p_image)->bytes}, missing);
+        Views(survivors), *(*p_image)->bytes, missing);
     ASSERT_TRUE(recovered.ok()) << "missing " << missing;
     // Zero-padded to the parity length; the prefix is the original.
     ASSERT_GE(recovered->size(), original.size());
@@ -275,14 +291,17 @@ TEST_F(ParityTest, RecoverReconstructsAnyMissingMember) {
 TEST_F(ParityTest, RecoverRejectsBadInputs) {
   std::vector<std::vector<std::uint8_t>> streams(3,
                                                  std::vector<std::uint8_t>{1});
-  EXPECT_FALSE(ParityBuilder::Recover(streams, {}, 0).ok());
-  EXPECT_FALSE(ParityBuilder::Recover(streams, {{1}}, 7).ok());
+  const std::vector<std::uint8_t> p{1};
+  // No P stream (an empty one) cannot cover the survivors.
+  EXPECT_FALSE(ParityBuilder::Recover(Views(streams), {}, 0).ok());
+  EXPECT_FALSE(ParityBuilder::Recover(Views(streams), p, 7).ok());
   // Missing slot must be empty.
-  EXPECT_FALSE(ParityBuilder::Recover(streams, {{1}}, 1).ok());
+  EXPECT_FALSE(ParityBuilder::Recover(Views(streams), p, 1).ok());
   // A member stream longer than the P stream is a graceful error, not a
   // ROS_CHECK abort inside the XOR kernel.
   std::vector<std::vector<std::uint8_t>> long_member{{}, {1, 2, 3}, {1}};
-  auto overlong = ParityBuilder::Recover(long_member, {{9}}, 0);
+  const std::vector<std::uint8_t> short_p{9};
+  auto overlong = ParityBuilder::Recover(Views(long_member), short_p, 0);
   ASSERT_FALSE(overlong.ok());
   EXPECT_EQ(overlong.status().code(), StatusCode::kInvalidArgument);
 }

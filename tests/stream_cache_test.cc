@@ -224,7 +224,7 @@ TEST_F(StreamCacheTest, DiscMountSharesTheSessionPayload) {
   for (const ImageRecord* record : DataImages()) {
     EXPECT_EQ(record->tier, ImageTier::kBurnedOnly) << record->id;
     const std::shared_ptr<const udf::Image> view =
-        olfs_->DiscMount(record->id);
+        olfs_->reader().DiscMount(record->id);
     if (view == nullptr) {
       continue;
     }
